@@ -195,10 +195,6 @@ class OrientedCell:
         base[direction] += steps
         return OrientedCell(self.kind, tuple(base), self.indices, self.sign)
 
-    def translated(self, vector: Point) -> "OrientedCell":
-        base = tuple(b + v for b, v in zip(self.base, vector, strict=True))
-        return OrientedCell(self.kind, base, self.indices, self.sign)
-
     def padded(self, extra: int) -> "OrientedCell":
         return OrientedCell(self.kind, self.base + (0,) * extra, self.indices, self.sign)
 

@@ -14,9 +14,7 @@ error, 3 singular data, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -36,6 +34,7 @@ from .dkp import (
     solve_ambo_ivp,
     solve_cube_ivp,
     write_field_file,
+    write_json,
 )
 from .errors import (
     ConfigError,
@@ -131,14 +130,6 @@ def _parse_vertex(text: str, expected: int) -> tuple[int, ...]:
     return vertex
 
 
-def _write_json(path: str, payload: dict) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
-
-
 def _cmd_verify(args: argparse.Namespace, overrides: dict[str, float]) -> int:
     for item in args.tol:
         name, _, raw = item.partition("=")
@@ -177,7 +168,7 @@ def _cmd_verify(args: argparse.Namespace, overrides: dict[str, float]) -> int:
             "records": [r.as_dict() for r in result.records],
             "summary": summary,
         }
-        _write_json(args.out, payload)
+        write_json(args.out, payload)
     return EXIT_OK if result.all_passed else EXIT_CHECK_FAILED
 
 

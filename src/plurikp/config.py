@@ -4,15 +4,9 @@ All constants that are not fixed by the mathematics live here, so that
 there is a single documented place for them.
 """
 
-import os
-
 # Largest lattice dimension N accepted by cell constructors.  All algorithms
 # are dimension generic; the bound only guards against typo-sized input.
 MAX_DIM = 10
-
-# Hard floor for denominators and produced values inside solvers.  Draws used
-# by the verifier apply the (much larger) DRAW_FLOOR via rejection instead.
-ZERO_FLOOR = 1e-12
 
 # Rejection floor for randomly drawn or completed values and denominators.
 DRAW_FLOOR = 1e-6
@@ -47,10 +41,3 @@ DEFAULT_TRIALS = 1000
 DEFAULT_DIM = 4
 DEFAULT_SEED = 2024
 
-
-def thread_cap() -> int:
-    """Worker cap from PLURIKP_THREADS; 1 (serial) when unset or invalid."""
-    try:
-        return max(1, int(os.environ.get("PLURIKP_THREADS", "1")))
-    except ValueError:
-        return 1

@@ -50,6 +50,7 @@ __all__ = [
     "dkp_minus_residual_relative",
     "dkp_residual",
     "dkp_residual_relative",
+    "field_values",
     "golden_cube_field",
     "golden_field",
     "golden_sign_pattern",
@@ -57,6 +58,7 @@ __all__ = [
     "monomial_sign_pattern",
     "nonsingularity_margin",
     "read_field_file",
+    "signed_monomials",
     "six_points",
     "solve_ambo_ivp",
     "solve_cube_ivp",
@@ -64,6 +66,7 @@ __all__ = [
     "system_on_4cell",
     "validate_field",
     "write_field_file",
+    "write_json",
 ]
 
 
@@ -94,28 +97,40 @@ def six_points(cell: OrientedCell) -> tuple[Point, ...]:
     raise CellError(f"{cell.kind.value} does not support the relation")
 
 
-def _six_values(field: Mapping[Point, float], cell: OrientedCell) -> tuple[float, ...]:
-    values = []
-    for point in six_points(cell):
-        try:
-            values.append(float(field[point]))
-        except KeyError as exc:
-            raise MissingVertexError(f"field has no value at {point}") from exc
-    return tuple(values)
+def field_values(
+    field: Mapping[Point, float], points: Iterable[Point]
+) -> tuple[float, ...]:
+    """Values of the field at the points, as floats."""
+    try:
+        return tuple([float(field[point]) for point in points])
+    except KeyError as exc:
+        raise MissingVertexError(f"field has no value at {exc.args[0]}") from exc
+
+
+def signed_monomials(
+    field: Mapping[Point, float], points: tuple[Point, ...]
+) -> tuple[float, float, float]:
+    """(x_ij x_kl, -x_ik x_jl, x_il x_jk) on six points in six_points order.
+
+    The relation reads M1 + M2 + M3 = 0; slots (0,5), (1,4), (2,3) hold the
+    factors of M1, M2, M3.
+    """
+    a, b, c, d, e, f = field_values(field, points)
+    return a * f, -(b * e), c * d
 
 
 def dkp_residual(field: Mapping[Point, float], cell: OrientedCell) -> float:
     """Signed trilinear residual; zero exactly on solutions."""
-    a, b, c, d, e, f = _six_values(field, cell)
-    return cell.sign * (a * f - b * e + c * d)
+    m1, m2, m3 = signed_monomials(field, six_points(cell))
+    return cell.sign * (m1 + m2 + m3)
 
 
 def dkp_residual_relative(field: Mapping[Point, float], cell: OrientedCell) -> float:
-    a, b, c, d, e, f = _six_values(field, cell)
-    scale = abs(a * f) + abs(b * e) + abs(c * d)
+    m1, m2, m3 = signed_monomials(field, six_points(cell))
+    scale = abs(m1) + abs(m2) + abs(m3)
     if scale == 0.0:
         raise SingularFieldError(f"all monomials vanish on {cell}")
-    return abs(a * f - b * e + c * d) / scale
+    return abs(m1 + m2 + m3) / scale
 
 
 def dkp_minus_residual(field: Mapping[Point, float], cell: OrientedCell) -> float:
@@ -124,14 +139,14 @@ def dkp_minus_residual(field: Mapping[Point, float], cell: OrientedCell) -> floa
     Equals (product of the six values) times the trilinear residual of the
     pointwise-inverted field.
     """
-    a, b, c, d, e, f = _six_values(field, cell)
+    a, b, c, d, e, f = field_values(field, six_points(cell))
     return cell.sign * (b * c * d * e - a * c * d * f + a * b * e * f)
 
 
 def dkp_minus_residual_relative(
     field: Mapping[Point, float], cell: OrientedCell
 ) -> float:
-    a, b, c, d, e, f = _six_values(field, cell)
+    a, b, c, d, e, f = field_values(field, six_points(cell))
     scale = abs(b * c * d * e) + abs(a * c * d * f) + abs(a * b * e * f)
     if scale == 0.0:
         raise SingularFieldError(f"all monomials vanish on {cell}")
@@ -186,18 +201,15 @@ def solve_octahedron(
     unknown = tuple(unknown)
     if unknown not in points:
         raise CellError(f"{unknown} is not a relation vertex of {cell}")
-    # Monomial pairing: slots (0,5), (1,4), (2,3) with signs +, -, +.
-    partner = {0: 5, 5: 0, 1: 4, 4: 1, 2: 3, 3: 2}
-    mono_sign = {0: 1.0, 5: 1.0, 1: -1.0, 4: -1.0, 2: 1.0, 3: 1.0}
+    # The relation is affine in each value: rest is its value with the
+    # unknown at zero, coeff the slope.
+    others = tuple(p for p in points if p != unknown)
+    probe = dict(zip(others, field_values(field, others)))
+    probe[unknown] = 0.0
+    rest = sum(signed_monomials(probe, points))
+    probe[unknown] = 1.0
     slot = points.index(unknown)
-    coeff = mono_sign[slot] * _value_at(field, points[partner[slot]])
-    rest = 0.0
-    for s in (0, 1, 2):
-        if s in (slot, partner[slot]):
-            continue
-        rest += mono_sign[s] * _value_at(field, points[s]) * _value_at(
-            field, points[partner[s]]
-        )
+    coeff = signed_monomials(probe, points)[min(slot, 5 - slot)]
     if coeff == 0.0:
         raise SingularFieldError(f"zero coefficient when solving {cell} at {unknown}")
     value = -rest / coeff
@@ -206,13 +218,6 @@ def solve_octahedron(
             f"solving {cell} at {unknown} gives singular value {value}"
         )
     return value
-
-
-def _value_at(field: Mapping[Point, float], point: Point) -> float:
-    try:
-        return float(field[point])
-    except KeyError as exc:
-        raise MissingVertexError(f"field has no value at {point}") from exc
 
 
 def ambo_ivp_points(cell4: OrientedCell) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
@@ -427,8 +432,8 @@ def monomial_sign_pattern(
     """
     pattern = []
     for support in system_on_4cell(cell4):
-        a, b, c, d, e, f = _six_values(field, support)
-        pattern.append((a * f > 0.0, b * e > 0.0, c * d > 0.0))
+        m1, m2, m3 = signed_monomials(field, six_points(support))
+        pattern.append((m1 > 0.0, m2 < 0.0, m3 > 0.0))
     return tuple(pattern)
 
 
@@ -449,8 +454,7 @@ def nonsingularity_margin(
     """
     margin = math.inf
     for cell in supports:
-        a, b, c, d, e, f = _six_values(field, cell)
-        monomials = (a * f, b * e, c * d)
+        monomials = signed_monomials(field, six_points(cell))
         for x, y in itertools.combinations(monomials, 2):
             scale = abs(x) + abs(y)
             if scale == 0.0:
@@ -477,6 +481,11 @@ def write_field_file(
             for point, value in sorted(field.items())
         },
     }
+    write_json(path, payload)
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write JSON through a temporary file, so the target is never partial."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
@@ -484,13 +493,29 @@ def write_field_file(
     os.replace(tmp, path)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise FormatError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def read_field_file(path: str) -> tuple[Field, str, int]:
-    """Read a field file, returning (field, lattice, dim)."""
+    """Read a field file, returning (field, lattice, dim).
+
+    Keys must be unique and written canonically ("0,-1,2": no spaces, plus
+    signs or leading zeros), so that no point can be given two values, and
+    values must be finite.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
+            payload = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != _FIELD_FORMAT:
         raise FormatError(f"{path}: missing or unknown format marker")
     lattice = payload.get("lattice")
@@ -503,12 +528,18 @@ def read_field_file(path: str) -> tuple[Field, str, int]:
         expected = dim + 1 if lattice == "qan" else dim
         for key, value in raw.items():
             point = tuple(int(t) for t in key.split(","))
+            if key != ",".join(str(c) for c in point):
+                raise FormatError(f"{path}: point {key!r} is not written canonically")
             if len(point) != expected:
                 raise FormatError(
                     f"{path}: point {key!r} has {len(point)} coordinates,"
                     f" expected {expected}"
                 )
             field[point] = float(value)
+            if not math.isfinite(field[point]):
+                raise FormatError(f"{path}: non-finite value {value!r} at {key!r}")
+    except FormatError:
+        raise
     except (KeyError, ValueError, AttributeError) as exc:
         raise FormatError(f"{path}: malformed field payload: {exc}") from exc
     return field, lattice, dim

@@ -1,41 +1,38 @@
 """Discrete 3-form, action functionals, and corner quantities.
 
-The 3-form on an octahedron with values (x_ij, ..., x_kl) is
+With the six values of an octahedron in six_points order (x_ij, x_ik, x_il,
+x_jk, x_jl, x_kl) and its signed monomials M = (x_ij x_kl, -x_ik x_jl,
+x_il x_jk), dKP reads M1 + M2 + M3 = 0 and the 3-form is
 
-    L = (1/2) * ( Lam(x_ij x_kl / (x_ik x_jl))
-                + Lam(x_ik x_jl / (x_il x_jk))
-                + Lam(-x_il x_jk / (x_ij x_kl)) )
+    L = (1/2) * sign * ( Lam(-M1/M2) + Lam(-M2/M3) + Lam(-M3/M1) ),
 
-times the orientation sign; on a 3D cube it is the same expression on the
-inscribed octahedron.  Tetrahedra carry no Lagrangian, so the exterior
-derivative (the action over the facet chain) vanishes identically on
-4-simplices.
+on a 3D cube the same on the inscribed octahedron.  Tetrahedra carry no
+Lagrangian, so the exterior derivative (the action over the facet chain)
+vanishes identically on 4-simplices.
 
-Differentiating the exterior derivative of a 4-ambo cell at one of its
-vertices yields (1/x) * log|E| with E a product of three fractions; the ten
-corner products of a cell arise from two templates (one for vertices whose
-direction pair is a step of the five-cycle, one for the two-step pairs, and
-likewise for the complementary triples on the white cell) by rotating the
-cycle.  4D-cube corners reuse the same templates through the projection
-substitution: a virtual smallest direction is prepended to the cube
-directions and simply drops out of every vertex offset.
+The derivative of the exterior derivative of a 4-cell at a vertex is
+sign * (1/x) * log|value|: value is the product over the relation supports
+through the vertex of R_k = (M_k + M_{k-1}) / (M_k + M_{k+1}) (indices mod 3,
+M_k the monomial holding the vertex) raised to the support's sign; the rest
+of each support's derivative cancels between supports.  On solutions value
+is -1 (dKP) or +1 (inverse branch), except at double-index 4D-cube corners,
+where it is the quotient of a black and a white factor, each -1 or +1: black
+is the product over the supports at the cube base times R_k of the
+octahedron on the six double-index vertices, and white = black / value.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping, NamedTuple
 
 from .cells import Chain, CellKind, OrientedCell, Point, _offset, facets
 from .dilog import skew_dilog
-from .dkp import six_points
-from .errors import (
-    CellError,
-    MissingVertexError,
-    NoCornerEquationError,
-    SingularFieldError,
-)
+from .dkp import field_values, signed_monomials, six_points, system_on_4cell
+from .errors import CellError, NoCornerEquationError, SingularFieldError
 
 __all__ = [
     "CornerProduct",
@@ -50,25 +47,11 @@ __all__ = [
 _FRACTION_GUARD = 1e-12
 
 
-def _values(field: Mapping[Point, float], cell: OrientedCell) -> tuple[float, ...]:
-    out = []
-    for point in six_points(cell):
-        try:
-            value = float(field[point])
-        except KeyError as exc:
-            raise MissingVertexError(f"field has no value at {point}") from exc
-        if value == 0.0 or not math.isfinite(value):
-            raise SingularFieldError(f"singular field value {value!r} at {point}")
-        out.append(value)
-    return tuple(out)
-
-
 def three_form(field: Mapping[Point, float], cell: OrientedCell) -> float:
     """Value of the discrete 3-form on an octahedron or a 3D cube."""
-    a, b, c, d, e, f = _values(field, cell)
-    m1, m2, m3 = a * f, b * e, c * d
+    m1, m2, m3 = _regular_monomials(field, six_points(cell))
     return 0.5 * cell.sign * (
-        skew_dilog(m1 / m2) + skew_dilog(m2 / m3) + skew_dilog(-m3 / m1)
+        skew_dilog(-m1 / m2) + skew_dilog(-m2 / m3) + skew_dilog(-m3 / m1)
     )
 
 
@@ -101,101 +84,18 @@ def exterior_derivative(field: Mapping[Point, float], cell4: OrientedCell) -> fl
     return action(field, facets(cell4))
 
 
-# --- corner product templates ----------------------------------------------
-#
-# Labels are position tuples into the five-cycle (0, 1, 2, 3, 4) of cell
-# directions; a term (s, A, B) stands for s * x[A] * x[B] and a fraction is
-# a (numerator, denominator) pair of two-term sums.  The black templates sit
-# at the pair (0,1) respectively (0,2); the white ones at the triple (0,1,2)
-# respectively (0,1,3).  All other corners follow by cyclic rotation.
+# --- corner products ---------------------------------------------------------
 
-_T = tuple[int, tuple[int, ...], tuple[int, ...]]
-_Fraction = tuple[tuple[_T, _T], tuple[_T, _T]]
-_Template = tuple[_Fraction, _Fraction, _Fraction]
-
-_BLACK_STEP: _Template = (
-    (((1, (0, 1), (2, 3)), (1, (0, 3), (1, 2))),
-     ((1, (0, 1), (2, 3)), (-1, (0, 2), (1, 3)))),
-    (((1, (0, 1), (2, 4)), (-1, (0, 2), (1, 4))),
-     ((1, (0, 1), (2, 4)), (1, (0, 4), (1, 2)))),
-    (((1, (0, 1), (3, 4)), (1, (0, 4), (1, 3))),
-     ((1, (0, 1), (3, 4)), (-1, (0, 3), (1, 4)))),
-)
-
-_BLACK_SKIP: _Template = (
-    (((1, (0, 2), (1, 3)), (-1, (0, 1), (2, 3))),
-     ((1, (0, 2), (1, 3)), (-1, (0, 3), (1, 2)))),
-    (((1, (0, 2), (1, 4)), (-1, (0, 4), (1, 2))),
-     ((1, (0, 2), (1, 4)), (-1, (0, 1), (2, 4)))),
-    (((1, (0, 2), (3, 4)), (-1, (0, 3), (2, 4))),
-     ((1, (0, 2), (3, 4)), (1, (0, 4), (2, 3)))),
-)
-
-_WHITE_STEP: _Template = (
-    (((1, (0, 1, 2), (2, 3, 4)), (1, (0, 2, 4), (1, 2, 3))),
-     ((1, (0, 1, 2), (2, 3, 4)), (-1, (0, 2, 3), (1, 2, 4)))),
-    (((1, (0, 1, 2), (1, 3, 4)), (-1, (0, 1, 3), (1, 2, 4))),
-     ((1, (0, 1, 2), (1, 3, 4)), (1, (0, 1, 4), (1, 2, 3)))),
-    (((1, (0, 1, 2), (0, 3, 4)), (1, (0, 1, 4), (0, 2, 3))),
-     ((1, (0, 1, 2), (0, 3, 4)), (-1, (0, 1, 3), (0, 2, 4)))),
-)
-
-_WHITE_SKIP: _Template = (
-    (((1, (0, 1, 3), (2, 3, 4)), (-1, (0, 2, 3), (1, 3, 4))),
-     ((1, (0, 1, 3), (2, 3, 4)), (1, (0, 3, 4), (1, 2, 3)))),
-    (((1, (0, 1, 3), (1, 2, 4)), (-1, (0, 1, 4), (1, 2, 3))),
-     ((1, (0, 1, 3), (1, 2, 4)), (-1, (0, 1, 2), (1, 3, 4)))),
-    (((1, (0, 1, 3), (0, 2, 4)), (-1, (0, 1, 2), (0, 3, 4))),
-     ((1, (0, 1, 3), (0, 2, 4)), (-1, (0, 1, 4), (0, 2, 3)))),
-)
+# A term (six points, monomial slot, sign) is one relation support through a
+# vertex: the points in six_points order, the monomial holding the vertex,
+# and the support's orientation.
+_Term = tuple[tuple[Point, ...], int, int]
 
 
-def _eval_template(
-    template: _Template,
-    rotation: int,
-    value_of: Callable[[tuple[int, ...]], float],
-) -> float:
-    product = 1.0
-    for numerator, denominator in template:
-        parts = []
-        for terms in (numerator, denominator):
-            (s1, a1, b1), (s2, a2, b2) = terms
-            t1 = s1 * value_of(_rotate(a1, rotation)) * value_of(_rotate(b1, rotation))
-            t2 = s2 * value_of(_rotate(a2, rotation)) * value_of(_rotate(b2, rotation))
-            total = t1 + t2
-            if abs(total) < _FRACTION_GUARD * (abs(t1) + abs(t2)):
-                raise SingularFieldError("near-singular corner fraction")
-            parts.append(total)
-        product *= parts[0] / parts[1]
-    return product
-
-
-def _rotate(labels: tuple[int, ...], rotation: int) -> tuple[int, ...]:
-    return tuple((p + rotation) % 5 for p in labels)
-
-
-def _black_selector(p: int, q: int) -> tuple[_Template, int]:
-    # Pair positions p < q on the five-cycle.
-    step = (q - p) % 5
-    if step == 1:
-        return _BLACK_STEP, p
-    if step == 4:
-        return _BLACK_STEP, q
-    if step == 2:
-        return _BLACK_SKIP, p
-    return _BLACK_SKIP, q
-
-
-def _white_selector(positions: tuple[int, int, int]) -> tuple[_Template, int]:
-    u, v = tuple(p for p in range(5) if p not in positions)
-    step = (v - u) % 5
-    if step == 1:
-        return _WHITE_STEP, (u - 3) % 5
-    if step == 4:
-        return _WHITE_STEP, (v - 3) % 5
-    if step == 2:
-        return _WHITE_SKIP, (u - 2) % 5
-    return _WHITE_SKIP, (v - 2) % 5
+class _Corner(NamedTuple):
+    terms: tuple[_Term, ...]  # every relation support through the vertex
+    black: tuple[_Term, ...] | None  # double cube corners: the black half
+    inverse: bool  # triple cube corners report their white factor 1/value
 
 
 @dataclass(frozen=True)
@@ -211,47 +111,67 @@ class CornerProduct:
     factors: tuple[float, ...]
 
 
-def _qan_values(
-    field: Mapping[Point, float], cell4: OrientedCell
-) -> Callable[[tuple[int, ...]], float]:
-    dirs = cell4.indices
-
-    def value_of(positions: tuple[int, ...]) -> float:
-        point = _offset(cell4.base, tuple(dirs[p] for p in positions))
-        value = float(field[point])
-        if value == 0.0:
-            raise SingularFieldError(f"zero field value at {point}")
-        return value
-
-    return value_of
+def _regular_monomials(
+    field: Mapping[Point, float], points: tuple[Point, ...]
+) -> tuple[float, float, float]:
+    # A zero or non-finite value makes one of its monomials zero or non-finite.
+    monomials = signed_monomials(field, points)
+    for m in monomials:
+        if m == 0.0 or not math.isfinite(m):
+            raise SingularFieldError(f"singular monomial {m!r} on {points}")
+    return monomials
 
 
-def _cube_values(
-    field: Mapping[Point, float], cell4: OrientedCell
-) -> Callable[[tuple[int, ...]], float]:
-    # Position 0 is the virtual projected-out direction: it contributes no
-    # offset, which realizes both substitutions of the projection at once.
-    dirs = (None,) + cell4.indices
-
-    def value_of(positions: tuple[int, ...]) -> float:
-        real = tuple(dirs[p] for p in positions if dirs[p] is not None)
-        point = _offset(cell4.base, real)
-        value = float(field[point])
-        if value == 0.0:
-            raise SingularFieldError(f"zero field value at {point}")
-        return value
-
-    return value_of
+def _binomial(x: float, y: float) -> float:
+    total = x + y
+    if abs(total) < _FRACTION_GUARD * (abs(x) + abs(y)):
+        raise SingularFieldError("near-singular corner fraction")
+    return total
 
 
-def _vertex_positions(cell4: OrientedCell, vertex: Point) -> tuple[int, ...]:
-    offset = tuple(v - b for v, b in zip(vertex, cell4.base, strict=True))
-    if any(o not in (0, 1) for o in offset):
-        raise CellError(f"{vertex} is not a vertex of {cell4}")
-    chosen = tuple(d for d, o in enumerate(offset) if o == 1)
-    if any(d not in cell4.indices for d in chosen):
-        raise CellError(f"{vertex} is not a vertex of {cell4}")
-    return tuple(cell4.indices.index(d) for d in chosen)
+def _ratio_product(field: Mapping[Point, float], terms: tuple[_Term, ...]) -> float:
+    product = 1.0
+    for points, k, sign in terms:
+        m = _regular_monomials(field, points)
+        num = _binomial(m[k], m[k - 1])
+        den = _binomial(m[k], m[(k + 1) % 3])
+        product *= num / den if sign > 0 else den / num
+    return product
+
+
+@functools.lru_cache(maxsize=256)
+def _corner_table(cell4: OrientedCell) -> dict[Point, _Corner | None]:
+    """Corner of every vertex of a 4-cell; None marks the two inert cube corners."""
+    base = cell4.base
+    through: dict[Point, list[_Term]] = {}
+    base_side: dict[Point, list[_Term]] = {}
+    for support in system_on_4cell(cell4.positive()):
+        points = six_points(support)
+        for slot, point in enumerate(points):
+            term = (points, min(slot, 5 - slot), support.sign)
+            through.setdefault(point, []).append(term)
+            if support.base == base:
+                base_side.setdefault(point, []).append(term)
+    if cell4.kind is not CellKind.CUBE4:
+        return {v: _Corner(tuple(terms), None, False) for v, terms in through.items()}
+    # The black factor of a double corner closes its base-side supports with
+    # the octahedron on the six double-index vertices of the cube.
+    octahedron = tuple(
+        _offset(base, pair) for pair in itertools.combinations(cell4.indices, 2)
+    )
+    # The base and the far corner lie on no support.
+    table: dict[Point, _Corner | None] = dict.fromkeys(
+        (base, _offset(base, cell4.indices))
+    )
+    for vertex, terms in through.items():
+        if vertex in octahedron:
+            slot = octahedron.index(vertex)
+            black = (*base_side[vertex], (octahedron, min(slot, 5 - slot), 1))
+            table[vertex] = _Corner(tuple(terms), black, False)
+        else:
+            triple = sum(vertex) - sum(base) == 3
+            table[vertex] = _Corner(tuple(terms), None, triple)
+    return table
 
 
 def corner_product(
@@ -259,39 +179,21 @@ def corner_product(
 ) -> CornerProduct:
     """The product of fractions behind the corner equation at the vertex."""
     vertex = tuple(vertex)
-    kind = cell4.kind
-    if kind is CellKind.BLACK_AMBO4:
-        p, q = _vertex_positions(cell4, vertex)
-        template, rot = _black_selector(p, q)
-        value = _eval_template(template, rot, _qan_values(field, cell4))
-        return CornerProduct(value, (value,))
-    if kind is CellKind.WHITE_AMBO4:
-        positions = _vertex_positions(cell4, vertex)
-        template, rot = _white_selector(positions)
-        value = _eval_template(template, rot, _qan_values(field, cell4))
-        return CornerProduct(value, (value,))
-    if kind is CellKind.CUBE4:
-        positions = _vertex_positions(cell4, vertex)
-        cube_value = _cube_values(field, cell4)
-        shifted = tuple(p + 1 for p in positions)
-        if len(shifted) == 1:
-            template, rot = _black_selector(0, shifted[0])
-            value = _eval_template(template, rot, cube_value)
-            return CornerProduct(value, (value,))
-        if len(shifted) == 2:
-            template, rot = _black_selector(*shifted)
-            black = _eval_template(template, rot, cube_value)
-            template, rot = _white_selector((0,) + shifted)
-            white = _eval_template(template, rot, cube_value)
-            return CornerProduct(black / white, (black, white))
-        if len(shifted) == 3:
-            template, rot = _white_selector(shifted)
-            white = _eval_template(template, rot, cube_value)
-            return CornerProduct(1.0 / white, (white,))
+    table = _corner_table(cell4)
+    if vertex not in table:
+        raise CellError(f"{vertex} is not a vertex of {cell4}")
+    corner = table[vertex]
+    if corner is None:
         raise NoCornerEquationError(
             f"no corner equation at {vertex}: the action does not depend on it"
         )
-    raise CellError(f"no corner product on {kind.value}")
+    value = _ratio_product(field, corner.terms)
+    if corner.black is not None:
+        black = _ratio_product(field, corner.black)
+        return CornerProduct(value, (black, black / value))
+    if corner.inverse:
+        return CornerProduct(value, (1.0 / value,))
+    return CornerProduct(value, (value,))
 
 
 def corner_residual(
@@ -308,8 +210,5 @@ def corner_residual(
     magnitude = abs(product.value)
     if magnitude == 0.0 or not math.isfinite(magnitude):
         raise SingularFieldError(f"corner product {product.value} at {vertex}")
-    try:
-        x = float(field[tuple(vertex)])
-    except KeyError as exc:
-        raise MissingVertexError(f"field has no value at {vertex}") from exc
+    (x,) = field_values(field, (tuple(vertex),))
     return cell4.sign * math.log(magnitude) / x

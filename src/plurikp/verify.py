@@ -4,7 +4,7 @@ Euler-Lagrange decomposition, combinatorial exactness, and seeded suites.
 Every check produces CheckRecord rows with a single scalar comparison
 (pass iff |observed - expected| <= tolerance), so reports stay diffable.
 Randomized checks derive one PCG64 generator per (seed, check, trial), which
-makes suites bit-reproducible and order independent under parallel workers.
+makes suites bit-reproducible and independent of the order of trials.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import hashlib
 import itertools
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Mapping
 
@@ -204,14 +203,6 @@ def _record(
 
 def _rng(cfg: SuiteConfig, check_id: str, trial: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, zlib.crc32(check_id.encode()), trial])
-
-
-def _map_trials(worker: Callable[[int], object], trials: int) -> list:
-    cap = config.thread_cap()
-    if cap <= 1:
-        return [worker(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(worker, range(trials)))
 
 
 # --- random data -------------------------------------------------------------
@@ -655,9 +646,9 @@ def _check_random_solutions(cfg: SuiteConfig) -> list[CheckRecord]:
     records = []
     for cell, tag in cells:
         check_id = f"corner-{tag}"
-        rows = _map_trials(
-            lambda t: _branch_closure_trial(cfg, cell, check_id, t), cfg.trials
-        )
+        rows = [
+            _branch_closure_trial(cfg, cell, check_id, t) for t in range(cfg.trials)
+        ]
         columns = list(zip(*rows))
         records.extend(
             [
@@ -717,9 +708,7 @@ def _check_gradient(cfg: SuiteConfig) -> list[CheckRecord]:
     records = []
     for cell, tag in cells:
         check_id = f"gradient-{tag}"
-        rows = _map_trials(
-            lambda t: _gradient_trial(cfg, cell, check_id, t), cfg.trials
-        )
+        rows = [_gradient_trial(cfg, cell, check_id, t) for t in range(cfg.trials)]
         records.append(_record(cfg, check_id, max(rows), 0.0, "gradient"))
     return records
 
@@ -911,7 +900,7 @@ def _check_negative_control(cfg: SuiteConfig) -> list[CheckRecord]:
         cell = _ambo_cell(cfg, CellKind.BLACK_AMBO4)
     else:
         cell = _cube_cell(cfg)
-    rows = _map_trials(lambda t: _negative_trial(cfg, cell, t), cfg.trials)
+    rows = [_negative_trial(cfg, cell, t) for t in range(cfg.trials)]
     return [_record(cfg, "negative-control", sum(rows), 0, "exact")]
 
 

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from plurikp.cells import CellKind, OrientedCell
 from plurikp.cli import main
 from plurikp.dkp import (
@@ -114,6 +116,25 @@ def test_solve_zero_value_is_singular_exit(tmp_path):
     payload["values"][key] = 0.0
     source.write_text(json.dumps(payload))
     assert main(["solve", "ambo-black", str(source), str(tmp_path / "o.json")]) == 3
+
+
+@pytest.mark.parametrize("case", ["duplicate", "non-canonical", "non-finite"])
+def test_solve_rejects_ambiguous_field_file_with_usage_exit(tmp_path, case):
+    source = tmp_path / "seven.json"
+    write_golden_seven(source)
+    payload = json.loads(source.read_text())
+    key = sorted(payload["values"])[0]
+    if case == "non-finite":
+        payload["values"][key] = math.nan
+        text = json.dumps(payload)
+    else:
+        # A second value for the first point, spelled the same or with a space.
+        extra = key if case == "duplicate" else key.replace(",", ", ", 1)
+        text = json.dumps(payload).replace(
+            '"values": {', f'"values": {{"{extra}": 2.5, ', 1
+        )
+    source.write_text(text)
+    assert main(["solve", "ambo-black", str(source), str(tmp_path / "o.json")]) == 2
 
 
 def test_solve_missing_file_is_io_exit(tmp_path):

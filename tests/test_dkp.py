@@ -371,6 +371,25 @@ def test_field_file_round_trip(tmp_path, black_ambo, rng):
     assert loaded == field
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        '"0,0,0,1,1": 2.5, "0,0,0,1,1": 3.0',
+        '"0,0,0,1,1": 2.5, "0, 0,0,1,1": 3.0',
+        '"0,0,0,1,1": 2.5, "1,0,0,0,1": NaN, "0,1,0,0,1": Infinity',
+    ],
+    ids=["duplicate-point", "non-canonical-key", "non-finite-value"],
+)
+def test_field_file_rejects_ambiguous_or_non_finite_values(tmp_path, values):
+    path = tmp_path / "field.json"
+    path.write_text(
+        '{"format": "plurikp-field/1", "lattice": "qan", "dim": 4,'
+        ' "values": {%s}}' % values
+    )
+    with pytest.raises(FormatError):
+        read_field_file(str(path))
+
+
 def test_field_file_rejects_bad_payloads(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json")

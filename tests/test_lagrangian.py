@@ -1,7 +1,9 @@
 """3-form values, actions, exterior derivatives, and corner quantities."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from plurikp.cells import (
     Chain,
     OrientedCell,
     facets,
+    parse_cell,
     vertices,
 )
 from plurikp.dilog import GOLDEN_A
@@ -283,6 +286,54 @@ def test_cube_corners_match_lifted_ambo_corners(cube4, rng):
     assert corner_product(f, cube4, triple).value == pytest.approx(
         1.0 / corner_product(lifted, white, lifted_triple).value, rel=1e-12
     )
+
+
+_CORNER_PRODUCTS = json.loads(
+    (Path(__file__).parent / "data" / "corner_products.json").read_text()
+)["cases"]
+
+
+def _point(text):
+    return tuple(int(t) for t in text.split(","))
+
+
+@pytest.mark.parametrize(
+    "case", _CORNER_PRODUCTS, ids=[case["cell"] for case in _CORNER_PRODUCTS]
+)
+def test_corner_products_match_recorded_values(case):
+    # Values and factors at every corner, in both orientations, of one
+    # FD_MARGIN field per cell, recorded from the earlier hand-tabulated
+    # corner templates; the fields are not solutions, so the signs count.
+    cell = parse_cell(case["cell"])
+    field = {_point(key): value for key, value in case["field"].items()}
+    assert {tuple(v) for v in corner_vertices(cell)} == {
+        _point(row[1]) for row in case["corners"]
+    }
+    for sign, vertex, value, factors in case["corners"]:
+        oriented = cell if sign == 1 else -cell
+        product = corner_product(field, oriented, _point(vertex))
+        assert product.value == pytest.approx(value, rel=1e-12)
+        assert product.factors == pytest.approx(tuple(factors), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind,base,point",
+    [
+        (CellKind.BLACK_AMBO4, Z5, (1, 1, 1, 0, 0)),
+        (CellKind.BLACK_AMBO4, Z5, (1, 0, 0, 0, 0)),
+        (CellKind.WHITE_AMBO4, Z5, (1, 1, 0, 0, 0)),
+        (CellKind.WHITE_AMBO4, Z5, (0, 0, 0, 0, 0)),
+        (CellKind.CUBE4, Z4, (2, 0, 0, 0)),
+        (CellKind.CUBE4, Z4, (1, 0, 0, -1)),
+        (CellKind.BLACK_SIMPLEX4, Z5, (1, 0, 0, 0, 0)),
+        (CellKind.WHITE_SIMPLEX4, Z5, (1, 1, 1, 1, 0)),
+    ],
+)
+def test_corner_product_rejects_non_vertices(kind, base, point):
+    cell = OrientedCell(kind, base, tuple(range(len(base))))
+    with pytest.raises(CellError) as info:
+        corner_product({}, cell, point)
+    assert not isinstance(info.value, NoCornerEquationError)
 
 
 def test_corner_product_inert_cube_vertices_raise(cube4):

@@ -149,13 +149,6 @@ def test_suite_zero_tolerance_fails():
     assert "golden-closure-black" in failed
 
 
-def test_suite_respects_thread_cap(monkeypatch):
-    serial = run_suite(SuiteConfig(lattice="qan", dim=4, trials=4, seed=3))
-    monkeypatch.setenv("PLURIKP_THREADS", "3")
-    threaded = run_suite(SuiteConfig(lattice="qan", dim=4, trials=4, seed=3))
-    assert serial.records == threaded.records
-
-
 def test_suite_dim3_runs_combinatorial_checks_only():
     cfg = SuiteConfig(lattice="qan", dim=3, trials=2, seed=1)
     result = run_suite(cfg)
