@@ -101,20 +101,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_tolerances(argv: Sequence[str]) -> tuple[list[str], dict[str, float]]:
+def _expand_tolerances(argv: Sequence[str]) -> list[str]:
     # Accept --tol.name=value as sugar for --tol name=value.
-    passthrough: list[str] = []
-    overrides: dict[str, float] = {}
+    expanded: list[str] = []
     for token in argv:
         if token.startswith("--tol.") and "=" in token:
-            name, _, raw = token[len("--tol."):].partition("=")
-            try:
-                overrides[name] = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"invalid tolerance value in {token!r}") from exc
+            expanded += ["--tol", token[len("--tol."):]]
         else:
-            passthrough.append(token)
-    return passthrough, overrides
+            expanded.append(token)
+    return expanded
 
 
 def _parse_vertex(text: str, expected: int) -> tuple[int, ...]:
@@ -130,12 +125,14 @@ def _parse_vertex(text: str, expected: int) -> tuple[int, ...]:
     return vertex
 
 
-def _cmd_verify(args: argparse.Namespace, overrides: dict[str, float]) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    overrides: dict[str, float] = {}
     for item in args.tol:
         name, _, raw = item.partition("=")
-        if not raw:
-            raise ConfigError(f"tolerance override {item!r} is not NAME=VALUE")
-        overrides[name] = float(raw)
+        try:
+            overrides[name] = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"tolerance override {item!r} is not NAME=VALUE") from exc
     cfg = SuiteConfig(
         lattice=args.lattice,
         dim=args.dim,
@@ -247,15 +244,14 @@ def _cmd_dilog_test() -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv, overrides = _split_tolerances(argv)
         parser = _build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_expand_tolerances(argv))
         except SystemExit as exc:
             # argparse exits 2 on usage errors and 0 on --help.
             return EXIT_USAGE if exc.code else EXIT_OK
         if args.command == "verify":
-            return _cmd_verify(args, overrides)
+            return _cmd_verify(args)
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "decompose":

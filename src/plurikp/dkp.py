@@ -11,8 +11,9 @@ relation into the quartic
 
     x_ik x_il x_jk x_jl - x_ij x_il x_jk x_kl + x_ij x_ik x_jl x_kl = 0.
 
-A 4-ambo cell supports five copies of the relation related by the cyclic
-permutation of its directions; a 4D cube supports eight, one per facet.
+The relation system of a 4-cell is the part of its boundary that carries the
+relation: the five octahedron facets of a 4-ambo cell, or the eight 3D-cube
+facets of a 4D cube, each oriented by its facet coefficient.
 Solvers complete minimal initial data to full solutions: seven values on an
 ambo cell, nine on a 4D cube.  The completion formulas below make the
 remaining equations identities, so the self-check they run can only fail on
@@ -21,6 +22,7 @@ numerically singular input.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -29,7 +31,7 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from . import config
-from .cells import CellKind, OrientedCell, Point, _offset, vertices
+from .cells import CellKind, OrientedCell, Point, _offset, facets
 from .dilog import GOLDEN_A
 from .errors import (
     CellError,
@@ -54,6 +56,7 @@ __all__ = [
     "golden_cube_field",
     "golden_field",
     "golden_sign_pattern",
+    "golden_solution",
     "invert_field",
     "monomial_sign_pattern",
     "nonsingularity_margin",
@@ -64,7 +67,6 @@ __all__ = [
     "solve_cube_ivp",
     "solve_octahedron",
     "system_on_4cell",
-    "validate_field",
     "write_field_file",
     "write_json",
 ]
@@ -153,43 +155,18 @@ def dkp_minus_residual_relative(
     return abs(b * c * d * e - a * c * d * f + a * b * e * f) / scale
 
 
+@functools.lru_cache(maxsize=256)
 def system_on_4cell(cell4: OrientedCell) -> tuple[OrientedCell, ...]:
-    """Signed relation supports of a 4-cell, in the cyclic equation order."""
-    base, idx = cell4.base, cell4.indices
-    if cell4.kind is CellKind.BLACK_AMBO4:
-        i, j, k, l, m = idx
-        supports = (
-            OrientedCell(CellKind.OCTAHEDRON, base, (i, j, k, l)),
-            OrientedCell(CellKind.OCTAHEDRON, base, (j, k, l, m)),
-            -OrientedCell(CellKind.OCTAHEDRON, base, (i, k, l, m)),
-            OrientedCell(CellKind.OCTAHEDRON, base, (i, j, l, m)),
-            -OrientedCell(CellKind.OCTAHEDRON, base, (i, j, k, m)),
-        )
-    elif cell4.kind is CellKind.WHITE_AMBO4:
-        i, j, k, l, m = idx
-        supports = (
-            OrientedCell(CellKind.OCTAHEDRON, _offset(base, (m,)), (i, j, k, l)),
-            OrientedCell(CellKind.OCTAHEDRON, _offset(base, (i,)), (j, k, l, m)),
-            -OrientedCell(CellKind.OCTAHEDRON, _offset(base, (j,)), (i, k, l, m)),
-            OrientedCell(CellKind.OCTAHEDRON, _offset(base, (k,)), (i, j, l, m)),
-            -OrientedCell(CellKind.OCTAHEDRON, _offset(base, (l,)), (i, j, k, m)),
-        )
-    elif cell4.kind is CellKind.CUBE4:
-        j, k, l, m = idx
-        supports = (
-            OrientedCell(CellKind.CUBE3, base, (j, k, l)),
-            -OrientedCell(CellKind.CUBE3, base, (j, k, m)),
-            OrientedCell(CellKind.CUBE3, base, (j, l, m)),
-            -OrientedCell(CellKind.CUBE3, base, (k, l, m)),
-            -OrientedCell(CellKind.CUBE3, _offset(base, (m,)), (j, k, l)),
-            -OrientedCell(CellKind.CUBE3, _offset(base, (k,)), (j, l, m)),
-            OrientedCell(CellKind.CUBE3, _offset(base, (l,)), (j, k, m)),
-            OrientedCell(CellKind.CUBE3, _offset(base, (j,)), (k, l, m)),
-        )
-    else:
+    """Relation supports of a 4-cell: its octahedron and 3D-cube facets, each
+    oriented by its facet coefficient (ordered as the facet chain lists them).
+    """
+    supports = tuple(
+        cell if coeff > 0 else -cell
+        for cell, coeff in facets(cell4).items()
+        if cell.kind in _SUPPORT_KINDS
+    )
+    if not supports:
         raise CellError(f"{cell4.kind.value} carries no relation system")
-    if cell4.sign < 0:
-        supports = tuple(-s for s in supports)
     return supports
 
 
@@ -268,9 +245,8 @@ def _completed(value: float, label: str) -> float:
     return value
 
 
-def _self_check(field: Field, cell4: OrientedCell, minus: bool) -> None:
-    res = dkp_minus_residual_relative if minus else dkp_residual_relative
-    worst = max(res(field, s) for s in system_on_4cell(cell4))
+def _self_check(field: Field, cell4: OrientedCell) -> None:
+    worst = max(dkp_residual_relative(field, s) for s in system_on_4cell(cell4))
     if worst > config.TOLERANCES["solver_rel"]:
         raise SingularFieldError(
             f"completion failed self-check: relative residual {worst:.3e}"
@@ -302,7 +278,7 @@ def solve_ambo_ivp(
     field[p_ij] = _completed((x_il * x_jm - x_im * x_jl) / x_lm, "first")
     field[p_ik] = _completed((x_il * x_km - x_im * x_kl) / x_lm, "second")
     field[p_jk] = _completed((x_jl * x_km - x_jm * x_kl) / x_lm, "third")
-    _self_check(field, cell4, minus=False)
+    _self_check(field, cell4)
     return field
 
 
@@ -354,7 +330,7 @@ def solve_cube_ivp(
     field[p_jk] = x_jk
     field[p_klm] = _completed((x_kl * x_jkm - x_km * x_jkl) / x_jk, "triple klm")
     field[p_jlm] = _completed((x_jl * x_jkm - x_jm * x_jkl) / x_jk, "triple jlm")
-    _self_check(field, cell4, minus=False)
+    _self_check(field, cell4)
     return field
 
 
@@ -401,6 +377,13 @@ def golden_cube_field(cell4: OrientedCell, branch: Branch = Branch.DKP) -> Field
     return field
 
 
+def golden_solution(cell4: OrientedCell) -> Field:
+    """The golden-ratio dKP solution of a 4-ambo cell or a 4D cube."""
+    if cell4.kind is CellKind.CUBE4:
+        return golden_cube_field(cell4)
+    return golden_field(cell4)
+
+
 def invert_field(field: Mapping[Point, float]) -> Field:
     out: Field = {}
     for point, value in field.items():
@@ -408,12 +391,6 @@ def invert_field(field: Mapping[Point, float]) -> Field:
             raise SingularFieldError(f"cannot invert zero value at {point}")
         out[tuple(point)] = 1.0 / value
     return out
-
-
-def validate_field(field: Mapping[Point, float]) -> None:
-    for point, value in field.items():
-        if not math.isfinite(value) or value == 0.0:
-            raise SingularFieldError(f"singular field value {value!r} at {point}")
 
 
 def monomial_sign_pattern(
@@ -438,10 +415,8 @@ def monomial_sign_pattern(
 
 
 def golden_sign_pattern(cell4: OrientedCell) -> tuple[tuple[bool, bool, bool], ...]:
-    """Component label of the constant golden-ratio solution."""
-    if cell4.kind is CellKind.CUBE4:
-        return monomial_sign_pattern(golden_cube_field(cell4), cell4)
-    return tuple((True, True, True) for _ in range(5))
+    """Component label of the golden-ratio solution."""
+    return monomial_sign_pattern(golden_solution(cell4), cell4)
 
 
 def nonsingularity_margin(
@@ -507,7 +482,7 @@ def read_field_file(path: str) -> tuple[Field, str, int]:
 
     Keys must be unique and written canonically ("0,-1,2": no spaces, plus
     signs or leading zeros), so that no point can be given two values, and
-    values must be finite.
+    values must be finite JSON numbers.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -535,11 +510,13 @@ def read_field_file(path: str) -> tuple[Field, str, int]:
                     f"{path}: point {key!r} has {len(point)} coordinates,"
                     f" expected {expected}"
                 )
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise FormatError(f"{path}: value {value!r} at {key!r} is not a number")
             field[point] = float(value)
             if not math.isfinite(field[point]):
                 raise FormatError(f"{path}: non-finite value {value!r} at {key!r}")
     except FormatError:
         raise
-    except (KeyError, ValueError, AttributeError) as exc:
+    except (KeyError, ValueError, AttributeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed field payload: {exc}") from exc
     return field, lattice, dim

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .cells import Chain, CellKind, OrientedCell, Point, _offset, facets
+from .cells import Chain, CellKind, OrientedCell, Point, _offset, facets, vertices
 from .dilog import skew_dilog
 from .dkp import field_values, signed_monomials, six_points, system_on_4cell
 from .errors import CellError, NoCornerEquationError, SingularFieldError
@@ -152,25 +152,21 @@ def _corner_table(cell4: OrientedCell) -> dict[Point, _Corner | None]:
             through.setdefault(point, []).append(term)
             if support.base == base:
                 base_side.setdefault(point, []).append(term)
-    if cell4.kind is not CellKind.CUBE4:
-        return {v: _Corner(tuple(terms), None, False) for v, terms in through.items()}
-    # The black factor of a double corner closes its base-side supports with
-    # the octahedron on the six double-index vertices of the cube.
+    # Vertices on no support (the base and far corners of a 4D cube) are inert.
+    table: dict[Point, _Corner | None] = dict.fromkeys(vertices(cell4))
+    # On a 4D cube the black factor of a double corner closes its base-side
+    # supports with the octahedron on the six double-index vertices, and the
+    # triple corners are the ones on shifted supports only.
+    cube = cell4.kind is CellKind.CUBE4
     octahedron = tuple(
         _offset(base, pair) for pair in itertools.combinations(cell4.indices, 2)
-    )
-    # The base and the far corner lie on no support.
-    table: dict[Point, _Corner | None] = dict.fromkeys(
-        (base, _offset(base, cell4.indices))
-    )
+    ) if cube else ()
     for vertex, terms in through.items():
+        black = None
         if vertex in octahedron:
             slot = octahedron.index(vertex)
             black = (*base_side[vertex], (octahedron, min(slot, 5 - slot), 1))
-            table[vertex] = _Corner(tuple(terms), black, False)
-        else:
-            triple = sum(vertex) - sum(base) == 3
-            table[vertex] = _Corner(tuple(terms), None, triple)
+        table[vertex] = _Corner(tuple(terms), black, cube and vertex not in base_side)
     return table
 
 
@@ -205,6 +201,8 @@ def corner_residual(
     4-simplex kinds, whose facets carry no Lagrangian.
     """
     if cell4.kind in (CellKind.BLACK_SIMPLEX4, CellKind.WHITE_SIMPLEX4):
+        if tuple(vertex) not in vertices(cell4):
+            raise CellError(f"{tuple(vertex)} is not a vertex of {cell4}")
         return 0.0
     product = corner_product(field, cell4, vertex)
     magnitude = abs(product.value)

@@ -43,26 +43,27 @@ from .dkp import (
     dkp_minus_residual_relative,
     dkp_residual,
     dkp_residual_relative,
-    golden_cube_field,
     golden_field,
     golden_sign_pattern,
+    golden_solution,
     invert_field,
     monomial_sign_pattern,
     nonsingularity_margin,
+    six_points,
     solve_ambo_ivp,
     solve_cube_ivp,
     system_on_4cell,
 )
 from .errors import (
     BranchError,
-    CellError,
     ConfigError,
     InconclusiveBranchError,
     NoCornerEquationError,
+    PluriKPError,
     SingularFieldError,
 )
 from .lagrangian import (
-    action_at,
+    action,
     corner_product,
     corner_residual,
     exterior_derivative,
@@ -153,6 +154,9 @@ class SuiteConfig:
         unknown = set(self.tolerances) - set(config.TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance overrides: {sorted(unknown)}")
+        for name, value in self.tolerances.items():
+            if not 0.0 <= float(value) < math.inf:
+                raise ConfigError(f"tolerance {name} must be finite and >= 0: {value}")
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, config.TOLERANCES[name]))
@@ -238,15 +242,12 @@ def _random_solution(
         solve = solve_ambo_ivp
     supports = system_on_4cell(cell4)
     target = golden_sign_pattern(cell4) if component == "golden" else None
-    signs = None
-    if target is not None and cell4.kind is CellKind.CUBE4:
-        reference = golden_cube_field(cell4)
+    if target is not None:
+        reference = golden_solution(cell4)
         signs = [math.copysign(1.0, reference[p]) for p in required]
     for _ in range(_MAX_REDRAWS):
         if target is None:
             data = _draw_field(rng, required)
-        elif signs is None:
-            data = {p: float(rng.uniform(0.5, 2.0)) for p in required}
         else:
             data = {
                 p: s * float(rng.uniform(0.5, 2.0))
@@ -291,19 +292,11 @@ def _relation_supports(cell4: OrientedCell) -> tuple[OrientedCell, ...]:
 
 
 def corner_vertices(cell4: OrientedCell) -> tuple[Point, ...]:
-    """Vertices of a 4-cell carrying corner equations (all ten on ambo cells,
-    fourteen on a 4D cube)."""
-    if cell4.kind in (CellKind.BLACK_AMBO4, CellKind.WHITE_AMBO4):
-        return tuple(sorted(vertices(cell4)))
-    if cell4.kind is CellKind.CUBE4:
-        base = cell4.base
-        out = []
-        for vertex in sorted(vertices(cell4)):
-            weight = sum(v - b for v, b in zip(vertex, base))
-            if 1 <= weight <= 3:
-                out.append(vertex)
-        return tuple(out)
-    raise CellError(f"no corner equations on {cell4.kind.value}")
+    """Vertices of a 4-cell on some relation support, which are the ones
+    carrying corner equations (all ten on ambo cells, fourteen on a 4D cube)."""
+    return tuple(
+        sorted({p for s in system_on_4cell(cell4) for p in six_points(s)})
+    )
 
 
 def classify_branch(
@@ -388,6 +381,20 @@ def check_closure(
 # --- finite differences -------------------------------------------------------
 
 
+def _central_difference(
+    fn: Callable[[Mapping[Point, float]], float],
+    field: Mapping[Point, float],
+    point: Point,
+    step: float,
+) -> float:
+    """Central difference of fn in the value at one point."""
+    up = dict(field)
+    down = dict(field)
+    up[point] = field[point] + step
+    down[point] = field[point] - step
+    return (fn(up) - fn(down)) / (2 * step)
+
+
 def _fd_action(
     field: Mapping[Point, float],
     chain: Chain,
@@ -395,11 +402,8 @@ def _fd_action(
     step: float = config.FD_STEP,
 ) -> float:
     vertex = tuple(vertex)
-    up = dict(field)
-    down = dict(field)
-    up[vertex] = field[vertex] + step
-    down[vertex] = field[vertex] - step
-    return (action_at(up, chain, vertex) - action_at(down, chain, vertex)) / (2 * step)
+    local = chain.restricted_to_vertex(vertex)
+    return _central_difference(lambda f: action(f, local), field, vertex, step)
 
 
 def check_euler_lagrange_sum(
@@ -471,17 +475,9 @@ def _jacobian(
     points: list[Point],
     step: float = 1e-7,
 ) -> np.ndarray:
-    rows = []
-    for fn in functions:
-        row = []
-        for point in points:
-            up = dict(field)
-            down = dict(field)
-            up[point] += step
-            down[point] -= step
-            row.append((fn(up) - fn(down)) / (2 * step))
-        rows.append(row)
-    return np.array(rows)
+    return np.array(
+        [[_central_difference(fn, field, p, step) for p in points] for fn in functions]
+    )
 
 
 def cube_freedom_probe(cfg: SuiteConfig) -> tuple[int, int]:
@@ -560,11 +556,9 @@ def _check_golden(cfg: SuiteConfig) -> list[CheckRecord]:
     ):
         cell = _ambo_cell(cfg, kind)
         solution = golden_field(cell, Branch.DKP)
-        worst = 0.0
-        for oct_cell, coeff in facets(cell).items():
-            if oct_cell.kind is not CellKind.OCTAHEDRON:
-                continue
-            worst = max(worst, abs(coeff * three_form(solution, oct_cell) + PI2_20))
+        worst = max(
+            abs(three_form(solution, s) + PI2_20) for s in system_on_4cell(cell)
+        )
         records.append(
             _record(cfg, f"golden-octahedron-{tag}", worst, 0.0, "golden_three_form")
         )
@@ -679,15 +673,12 @@ def _gradient_trial(
     cfg: SuiteConfig, cell: OrientedCell, check_id: str, trial: int
 ) -> float:
     rng = _rng(cfg, check_id, trial)
-    field = _random_plain_field(
-        rng, vertices(cell), _relation_supports(cell), config.FD_MARGIN
-    )
+    supports = _relation_supports(cell)
+    field = _random_plain_field(rng, vertices(cell), supports, config.FD_MARGIN)
     chain = facets(cell)
     worst = 0.0
-    if cell.kind in (CellKind.BLACK_SIMPLEX4, CellKind.WHITE_SIMPLEX4):
-        targets = tuple(sorted(vertices(cell)))
-    else:
-        targets = corner_vertices(cell)
+    # Without relation supports (4-simplices) every vertex has a zero corner.
+    targets = corner_vertices(cell) if supports else sorted(vertices(cell))
     for vertex in targets:
         analytic = corner_residual(field, cell, vertex)
         numeric = _fd_action(field, chain, vertex)
@@ -816,6 +807,7 @@ def _glued_flower(
 
 def _check_flower_decomposition(cfg: SuiteConfig) -> list[CheckRecord]:
     failures = 0
+    flowers: list[tuple[Chain, Point]] = []
     # Boundary flowers of every supported 4-cell kind at every vertex.
     # 4-cells need five directions, so they only exist from dimension 4 on.
     if cfg.dim >= 4:
@@ -824,25 +816,18 @@ def _check_flower_decomposition(cfg: SuiteConfig) -> list[CheckRecord]:
                 star = flower(facets(cell), vertex)
                 if star != corner(cell, vertex):
                     failures += 1
-                try:
-                    decompose_flower(star, vertex)
-                except Exception:
-                    failures += 1
+                flowers.append((star, vertex))
     # Full sub-lattice star.
-    star, center = _standard_flower(cfg)
-    try:
-        decompose_flower(star, center)
-    except Exception:
-        failures += 1
+    flowers.append(_standard_flower(cfg))
     # Randomized glued flowers.
     if cfg.dim >= 4:
         for trial in range(min(cfg.trials, 20)):
-            rng = _rng(cfg, "flower-glued", trial)
-            star, vertex = _glued_flower(cfg, rng)
-            try:
-                decompose_flower(star, vertex)
-            except Exception:
-                failures += 1
+            flowers.append(_glued_flower(cfg, _rng(cfg, "flower-glued", trial)))
+    for star, vertex in flowers:
+        try:
+            decompose_flower(star, vertex)
+        except PluriKPError:
+            failures += 1
     return [_record(cfg, "flower-decomposition", failures, 0, "exact")]
 
 

@@ -62,6 +62,21 @@ def test_verify_unknown_tolerance_is_config_error():
     assert main(["verify", "--trials", "2", "--tol.bogus=1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        ["--tol", "classify=abc"],
+        ["--tol.classify=abc"],
+        ["--tol", "classify"],
+        ["--tol.gradient=inf"],
+        ["--tol", "gradient=nan"],
+        ["--tol.gradient=-1e-6"],
+    ],
+)
+def test_verify_malformed_tolerance_is_config_error(override):
+    assert main(["verify", "--trials", "2", *override]) == 2
+
+
 def test_solve_golden_black(tmp_path, capsys):
     source = tmp_path / "seven.json"
     target = tmp_path / "full.json"
@@ -118,14 +133,19 @@ def test_solve_zero_value_is_singular_exit(tmp_path):
     assert main(["solve", "ambo-black", str(source), str(tmp_path / "o.json")]) == 3
 
 
-@pytest.mark.parametrize("case", ["duplicate", "non-canonical", "non-finite"])
+@pytest.mark.parametrize(
+    "case", ["duplicate", "non-canonical", "non-finite", "string", "boolean"]
+)
 def test_solve_rejects_ambiguous_field_file_with_usage_exit(tmp_path, case):
     source = tmp_path / "seven.json"
     write_golden_seven(source)
     payload = json.loads(source.read_text())
     key = sorted(payload["values"])[0]
-    if case == "non-finite":
-        payload["values"][key] = math.nan
+    if case in ("non-finite", "string", "boolean"):
+        value = payload["values"][key]
+        payload["values"][key] = {
+            "non-finite": math.nan, "string": repr(value), "boolean": True
+        }[case]
         text = json.dumps(payload)
     else:
         # A second value for the first point, spelled the same or with a space.

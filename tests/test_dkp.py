@@ -112,8 +112,11 @@ def test_cube3_relation_uses_inscribed_octahedron():
 # --- systems on 4-cells ----------------------------------------------------------
 
 
+def signed_supports(cell4):
+    return sorted((s.indices, s.base, s.sign) for s in system_on_4cell(cell4))
+
+
 def test_black_ambo_system_supports(black_ambo):
-    supports = system_on_4cell(black_ambo)
     expected = [
         ((0, 1, 2, 3), Z5, 1),
         ((1, 2, 3, 4), Z5, 1),
@@ -121,12 +124,10 @@ def test_black_ambo_system_supports(black_ambo):
         ((0, 1, 3, 4), Z5, 1),
         ((0, 1, 2, 4), Z5, -1),
     ]
-    got = [(s.indices, s.base, s.sign) for s in supports]
-    assert got == expected
+    assert signed_supports(black_ambo) == sorted(expected)
 
 
 def test_white_ambo_system_supports(white_ambo):
-    supports = system_on_4cell(white_ambo)
     expected = [
         ((0, 1, 2, 3), (0, 0, 0, 0, 1), 1),
         ((1, 2, 3, 4), (1, 0, 0, 0, 0), 1),
@@ -134,8 +135,7 @@ def test_white_ambo_system_supports(white_ambo):
         ((0, 1, 3, 4), (0, 0, 1, 0, 0), 1),
         ((0, 1, 2, 4), (0, 0, 0, 1, 0), -1),
     ]
-    got = [(s.indices, s.base, s.sign) for s in supports]
-    assert got == expected
+    assert signed_supports(white_ambo) == sorted(expected)
 
 
 def test_cube4_system_is_eight_facets(cube4):
@@ -144,12 +144,31 @@ def test_cube4_system_is_eight_facets(cube4):
     assert all(s.kind is CellKind.CUBE3 for s in supports)
     unshifted = [s for s in supports if s.base == (0, 0, 0, 0)]
     assert len(unshifted) == 4
+    expected = [
+        ((0, 1, 2), (0, 0, 0, 0), 1),
+        ((0, 1, 3), (0, 0, 0, 0), -1),
+        ((0, 2, 3), (0, 0, 0, 0), 1),
+        ((1, 2, 3), (0, 0, 0, 0), -1),
+        ((0, 1, 2), (0, 0, 0, 1), -1),
+        ((0, 2, 3), (0, 1, 0, 0), -1),
+        ((0, 1, 3), (0, 0, 1, 0), 1),
+        ((1, 2, 3), (1, 0, 0, 0), 1),
+    ]
+    assert signed_supports(cube4) == sorted(expected)
+
+
+def test_system_follows_orientation(black_ambo, cube4):
+    for cell in (black_ambo, cube4):
+        flipped = [(idx, base, -sign) for idx, base, sign in signed_supports(cell)]
+        assert signed_supports(-cell) == sorted(flipped)
 
 
 def test_system_unsupported_kind():
     simplex = OrientedCell(CellKind.BLACK_SIMPLEX4, Z5, (0, 1, 2, 3, 4))
     with pytest.raises(CellError):
         system_on_4cell(simplex)
+    with pytest.raises(CellError):
+        system_on_4cell(oct_cell())
 
 
 # --- solve_octahedron -------------------------------------------------------------
@@ -349,10 +368,11 @@ def test_cyclic_pullback_preserves_solutions(black_ambo, rng):
         assert dkp_residual_relative(pulled, support) <= 1e-12
 
 
-def test_golden_sign_pattern_is_all_positive(black_ambo, cube4):
+def test_golden_sign_pattern_is_all_positive(black_ambo, white_ambo, cube4):
     assert golden_sign_pattern(black_ambo) == tuple(
         (True, True, True) for _ in range(5)
     )
+    assert golden_sign_pattern(white_ambo) == golden_sign_pattern(black_ambo)
     golden = golden_field(black_ambo, Branch.DKP)
     assert monomial_sign_pattern(golden, black_ambo) == golden_sign_pattern(black_ambo)
     cube_golden = golden_cube_field(cube4)
@@ -377,8 +397,14 @@ def test_field_file_round_trip(tmp_path, black_ambo, rng):
         '"0,0,0,1,1": 2.5, "0,0,0,1,1": 3.0',
         '"0,0,0,1,1": 2.5, "0, 0,0,1,1": 3.0',
         '"0,0,0,1,1": 2.5, "1,0,0,0,1": NaN, "0,1,0,0,1": Infinity',
+        '"0,0,0,1,1": "2.5"',
+        '"0,0,0,1,1": true',
+        '"0,0,0,1,1": 1%s' % ("0" * 400),
     ],
-    ids=["duplicate-point", "non-canonical-key", "non-finite-value"],
+    ids=[
+        "duplicate-point", "non-canonical-key", "non-finite-value", "string-value",
+        "boolean-value", "overflowing-value",
+    ],
 )
 def test_field_file_rejects_ambiguous_or_non_finite_values(tmp_path, values):
     path = tmp_path / "field.json"

@@ -327,6 +327,8 @@ def test_corner_products_match_recorded_values(case):
         (CellKind.CUBE4, Z4, (1, 0, 0, -1)),
         (CellKind.BLACK_SIMPLEX4, Z5, (1, 0, 0, 0, 0)),
         (CellKind.WHITE_SIMPLEX4, Z5, (1, 1, 1, 1, 0)),
+        (CellKind.BLACK_SIMPLEX4, Z5, (9, 9, 9, 9, 9)),
+        (CellKind.WHITE_SIMPLEX4, Z5, (1, 1, 0, 0, 0)),
     ],
 )
 def test_corner_product_rejects_non_vertices(kind, base, point):
@@ -334,6 +336,13 @@ def test_corner_product_rejects_non_vertices(kind, base, point):
     with pytest.raises(CellError) as info:
         corner_product({}, cell, point)
     assert not isinstance(info.value, NoCornerEquationError)
+    # corner_residual is identically zero at the vertices of a 4-simplex.
+    if point not in vertices(cell):
+        with pytest.raises(CellError) as info:
+            corner_residual({}, cell, point)
+        assert not isinstance(info.value, NoCornerEquationError)
+    else:
+        assert corner_residual({}, cell, point) == 0.0
 
 
 def test_corner_product_inert_cube_vertices_raise(cube4):

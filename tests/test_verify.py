@@ -175,6 +175,9 @@ def test_config_validation():
         run_suite(SuiteConfig(seed=-1))
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(tolerances={"nope": 1.0}))
+    for bad in (math.inf, math.nan, -1e-9):
+        with pytest.raises(ConfigError):
+            run_suite(SuiteConfig(tolerances={"gradient": bad}))
 
 
 def test_record_invariant():
@@ -211,3 +214,21 @@ def test_closure_constant_depends_on_component(black_ambo):
         solution = _random_solution(rng, black_ambo, component="golden")
         value = exterior_derivative(solution, black_ambo)
         assert value == pytest.approx(-PI2_4, abs=1e-9)
+
+
+def test_flower_check_counts_library_errors_and_propagates_others(monkeypatch):
+    import plurikp.verify as verify_module
+    from plurikp.errors import DecompositionError
+
+    def failing(error):
+        def decompose(star, vertex):
+            raise error("injected")
+        return decompose
+
+    cfg = SuiteConfig(lattice="qan", dim=4, trials=1)
+    monkeypatch.setattr(verify_module, "decompose_flower", failing(DecompositionError))
+    (record,) = verify_module._check_flower_decomposition(cfg)
+    assert record.observed > 0 and not record.passed
+    monkeypatch.setattr(verify_module, "decompose_flower", failing(TypeError))
+    with pytest.raises(TypeError):
+        verify_module._check_flower_decomposition(cfg)
