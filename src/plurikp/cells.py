@@ -29,9 +29,10 @@ sign per deleted direction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -132,14 +133,19 @@ def _sort_with_parity(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:
     return tuple(seq), parity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrientedCell:
-    """A lattice cell in canonical form: sorted indices, sign in {+1, -1}."""
+    """A lattice cell in canonical form: sorted indices, sign in {+1, -1}.
+
+    Cells key every chain and cache, so the hash of (kind, base, indices,
+    sign) is computed once, on construction.
+    """
 
     kind: CellKind
     base: Point
     indices: tuple[int, ...]
     sign: int = 1
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _INFO:
@@ -170,6 +176,17 @@ class OrientedCell:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "indices", sorted_idx)
         object.__setattr__(self, "sign", self.sign * parity)
+        object.__setattr__(
+            self, "_hash", hash((self.kind, self.base, self.indices, self.sign))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: enum hashes are salted per
+        # process, so a pickled hash would be stale in another one.
+        return (OrientedCell, (self.kind, self.base, self.indices, self.sign))
 
     @property
     def family(self) -> str:
@@ -232,10 +249,12 @@ class Chain:
     """Integer formal sum of oriented cells with exact cancellation.
 
     Keys are positively oriented canonical cells; a negatively oriented cell
-    contributes through the sign of its coefficient.
+    contributes through the sign of its coefficient.  Chains never change
+    after construction, so the sorted terms and the non-empty restrictions
+    to vertices are kept once computed.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_sorted", "_stars")
 
     def __init__(self, terms: Iterable[tuple[OrientedCell, int]] = ()) -> None:
         acc: dict[OrientedCell, int] = {}
@@ -250,13 +269,19 @@ class Chain:
             else:
                 acc.pop(key, None)
         self._terms = acc
+        self._sorted: list[tuple[OrientedCell, int]] | None = None
+        self._stars: dict[Point, Chain] = {}
 
     @classmethod
     def of(cls, *cells: OrientedCell) -> "Chain":
         return cls((cell, 1) for cell in cells)
 
     def items(self) -> Iterator[tuple[OrientedCell, int]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: format_cell(kv[0])))
+        if self._sorted is None:
+            self._sorted = sorted(
+                self._terms.items(), key=lambda kv: format_cell(kv[0])
+            )
+        return iter(self._sorted)
 
     def coefficient(self, cell: OrientedCell) -> int:
         return self._terms.get(cell.positive(), 0) * cell.sign
@@ -294,9 +319,15 @@ class Chain:
 
     def restricted_to_vertex(self, point: Point) -> "Chain":
         point = tuple(point)
-        return Chain(
-            (cell, c) for cell, c in self._terms.items() if has_vertex(cell, point)
-        )
+        star = self._stars.get(point)
+        if star is None:
+            star = Chain(
+                (cell, c) for cell, c in self._terms.items() if has_vertex(cell, point)
+            )
+            # Only vertices of the chain are kept, which bounds the memo.
+            if star:
+                self._stars[point] = star
+        return star
 
     def padded(self, extra: int) -> "Chain":
         return Chain((cell.padded(extra), c) for cell, c in self._terms.items())
@@ -307,6 +338,7 @@ def _deletion_signs(count: int) -> list[int]:
     return [1 if (count - 1 - p) % 2 == 0 else -1 for p in range(count)]
 
 
+@functools.lru_cache(maxsize=256)
 def facets(cell: OrientedCell) -> Chain:
     """Signed facet chain of a 3-cell or 4-cell."""
     if cell.dim == 2:
@@ -340,10 +372,11 @@ def facets(cell: OrientedCell) -> Chain:
 
 def boundary(chain: Chain) -> Chain:
     """Linear extension of facets to chains."""
-    total = Chain()
-    for cell, coeff in chain.items():
-        total = total + facets(cell) * coeff
-    return total
+    return Chain(
+        (facet, c * coeff)
+        for cell, coeff in chain._terms.items()
+        for facet, c in facets(cell)._terms.items()
+    )
 
 
 def corner(cell4: OrientedCell, center: Point) -> Chain:
@@ -470,14 +503,14 @@ def decompose_flower(
         CellKind.OCTAHEDRON: CellKind.BLACK_AMBO4,
         CellKind.WHITE_TETRAHEDRON: CellKind.WHITE_AMBO4,
     }
-    white_corner_sum = Chain()
     for cell, coeff in padded.items():
         lifted = OrientedCell(
             lift_kind[cell.kind], cell.base, cell.indices + (aux_m,), coeff
         )
         pairs.append((lifted, padded_vertex))
-        if cell.kind is CellKind.WHITE_TETRAHEDRON:
-            white_corner_sum = white_corner_sum + corner(lifted, padded_vertex)
+    white_corner_sum = _corner_sum(
+        pair for pair in pairs if pair[0].kind is CellKind.WHITE_AMBO4
+    )
     for cell, coeff in white_corner_sum.items():
         if cell.kind is not CellKind.WHITE_TETRAHEDRON or aux_m not in cell.indices:
             continue
@@ -498,10 +531,9 @@ def decompose_flower(
 
 
 def _corner_sum(pairs: Iterable[tuple[OrientedCell, Point]]) -> Chain:
-    total = Chain()
-    for cell4, center in pairs:
-        total = total + corner(cell4, center)
-    return total
+    return Chain(
+        term for cell4, center in pairs for term in corner(cell4, center)._terms.items()
+    )
 
 
 def project_point(axis: int, point: Point) -> Point:

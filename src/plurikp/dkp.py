@@ -81,6 +81,7 @@ class Branch(Enum):
 _SUPPORT_KINDS = (CellKind.OCTAHEDRON, CellKind.CUBE3)
 
 
+@functools.lru_cache(maxsize=256)
 def six_points(cell: OrientedCell) -> tuple[Point, ...]:
     """The six relation vertices in the fixed order (ij, ik, il, jk, jl, kl).
 

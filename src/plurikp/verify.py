@@ -145,17 +145,22 @@ class SuiteConfig:
     def validate(self) -> None:
         if self.lattice not in ("qan", "cubic"):
             raise ConfigError(f"lattice must be 'qan' or 'cubic', got {self.lattice!r}")
-        if not 3 <= int(self.dim) <= config.MAX_DIM:
+        try:
+            dim, trials, seed = int(self.dim), int(self.trials), int(self.seed)
+            overrides = {name: float(v) for name, v in dict(self.tolerances).items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"non-numeric suite setting: {exc}") from exc
+        if not 3 <= dim <= config.MAX_DIM:
             raise ConfigError(f"dim must be in [3, {config.MAX_DIM}], got {self.dim}")
-        if int(self.trials) < 1:
+        if trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if int(self.seed) < 0:
+        if seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        unknown = set(self.tolerances) - set(config.TOLERANCES)
+        unknown = set(overrides) - set(config.TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance overrides: {sorted(unknown)}")
-        for name, value in self.tolerances.items():
-            if not 0.0 <= float(value) < math.inf:
+        for name, value in overrides.items():
+            if not 0.0 <= value < math.inf:
                 raise ConfigError(f"tolerance {name} must be finite and >= 0: {value}")
 
     def tolerance(self, name: str) -> float:

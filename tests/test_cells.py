@@ -1,6 +1,10 @@
 """Cell, chain, facet, corner, flower, and projection combinatorics."""
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from plurikp.cells import (
     flower,
     format_cell,
     format_chain,
+    has_vertex,
     parse_cell,
     parse_chain,
     project_cell,
@@ -74,6 +79,43 @@ def test_permutation_parity_folds_into_sign(perm):
 def test_double_negation_is_identity():
     c = cell(CellKind.WHITE_TETRAHEDRON, Z5, (0, 2, 3, 4))
     assert -(-c) == c
+
+
+@given(st.permutations(range(5)))
+@settings(max_examples=30, deadline=None)
+def test_permuted_equal_cells_hash_equal(perm):
+    canonical = OrientedCell(CellKind.WHITE_AMBO4, Z5, (0, 1, 2, 3, 4), -1)
+    permuted = OrientedCell(CellKind.WHITE_AMBO4, Z5, tuple(perm))
+    same = permuted if permuted.sign == -1 else -permuted
+    assert same == canonical
+    assert hash(same) == hash(canonical)
+    assert hash(canonical) == hash(
+        (canonical.kind, canonical.base, canonical.indices, canonical.sign)
+    )
+
+
+def test_cell_pickled_in_another_process_keeps_a_valid_hash():
+    # Enum hashes are salted per process, so a child with a fixed salt
+    # computes a different hash for the same cell.
+    original = cell(CellKind.OCTAHEDRON, (1, -2, 0, 3, 0), (1, 0, 2, 4))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["plurikp.cells"].__file__
+    )))
+    script = (
+        "import pickle, sys\n"
+        "from plurikp.cells import CellKind, OrientedCell\n"
+        "c = OrientedCell(CellKind.OCTAHEDRON, (1, -2, 0, 3, 0), (1, 0, 2, 4))\n"
+        "sys.stdout.buffer.write(pickle.dumps(c))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=package_root)
+    blob = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        check=True, timeout=60,
+    ).stdout
+    loaded = pickle.loads(blob)
+    assert loaded == original
+    assert hash(loaded) == hash(original)
+    assert loaded in {original}
 
 
 def test_invalid_cells_rejected():
@@ -331,6 +373,40 @@ def test_chain_rejects_nothing_but_tracks_coefficients():
     two = Chain([(c, 1), (c, 1)])
     assert two.coefficient(c) == 2
     assert two.coefficient(-c) == -2
+
+
+@given(chains)
+@settings(max_examples=80, deadline=None)
+def test_boundary_matches_running_sum(a):
+    total = Chain()
+    for c, coeff in a.items():
+        total = total + facets(c) * coeff
+    assert boundary(a) == total
+
+
+def test_cached_facets_are_shared_and_unchanged_by_arithmetic():
+    c = cell(CellKind.BLACK_AMBO4, Z5, (0, 1, 2, 3, 4))
+    chain = facets(c)
+    assert facets(c) is chain
+    before = format_chain(chain)
+    negated = chain * -1
+    assert negated == -chain
+    assert format_chain(facets(c)) == before
+    assert format_chain(chain + negated) == ""
+    assert format_chain(facets(c)) == before
+
+
+def test_memoized_restriction_equals_fresh_one():
+    c = cell(CellKind.CUBE4, (0, 1, 0, 0, 0), (0, 1, 3, 4))
+    chain = facets(c)
+    for vertex in sorted(vertices(c)) + [(9, 9, 9, 9, 9)]:
+        first = chain.restricted_to_vertex(vertex)
+        fresh = Chain(
+            (term, coeff) for term, coeff in chain.items() if has_vertex(term, vertex)
+        )
+        assert first == fresh
+        assert chain.restricted_to_vertex(list(vertex)) == fresh
+        assert list(first.items()) == list(fresh.items())
 
 
 # --- corners -------------------------------------------------------------------

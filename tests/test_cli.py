@@ -53,7 +53,7 @@ def test_verify_bad_dim_is_config_error(capsys):
 
 def test_verify_zero_tolerance_fails_with_exit_one(tmp_path):
     code = main([
-        "verify", "--trials", "2", "--seed", "1", "--tol.golden_closure=0",
+        "verify", "--trials", "2", "--seed", "1", "--tol.gradient=0",
     ])
     assert code == 1
 

@@ -110,6 +110,46 @@ def test_skew_dilog_fixed_points():
     assert skew_dilog(-1.0) == 0.0
 
 
+def skew_reference(z: float) -> float:
+    """re Li2(z) - re Li2(1/z) by mpmath at 30 digits, independent of the
+    single-series evaluation the library uses."""
+    with mpmath.workdps(30):
+        w = mpmath.mpf(z)
+        value = mpmath.re(mpmath.polylog(2, w)) - mpmath.re(mpmath.polylog(2, 1 / w))
+        return float(value)
+
+
+def _log_uniform(sign: float, lo: float, hi: float, count: int, seed: int) -> list:
+    exponents = np.random.default_rng(seed).uniform(lo, hi, count)
+    return [sign * 10.0 ** float(e) for e in exponents]
+
+
+@pytest.mark.parametrize(
+    "branch,points",
+    [
+        ("(0,1)", _log_uniform(1.0, -300.0, 0.0, 150, 1)),
+        ("(-1,0)", _log_uniform(-1.0, -300.0, 0.0, 150, 2)),
+        ("z>1", _log_uniform(1.0, 0.0, 300.0, 150, 3)),
+        ("z<-1", _log_uniform(-1.0, 0.0, 300.0, 150, 4)),
+        ("|z|<3", np.random.default_rng(5).uniform(-3.0, 3.0, 200).tolist()),
+    ],
+)
+def test_skew_dilog_matches_mpmath_on_every_branch(branch, points):
+    for z in points:
+        ref = skew_reference(z)
+        assert abs(skew_dilog(z) - ref) <= 2e-15 * max(1.0, abs(ref)), (branch, z)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [1e-300, -1e-300, 1e300, -1e300, 1.0 + 1e-15, 1.0 - 1e-15, -1.0 + 1e-15,
+     -1.0 - 1e-15],
+)
+def test_skew_dilog_matches_mpmath_at_edges(z):
+    ref = skew_reference(z)
+    assert abs(skew_dilog(z) - ref) <= 2e-15 * max(1.0, abs(ref))
+
+
 def test_golden_skew_sum():
     a = GOLDEN_A
     total = skew_dilog(a * a) + skew_dilog(-1.0 / a) + skew_dilog(1.0 / a)

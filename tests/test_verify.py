@@ -141,12 +141,12 @@ def test_suite_cubic_small():
 def test_suite_zero_tolerance_fails():
     cfg = SuiteConfig(
         lattice="qan", dim=4, trials=2, seed=11,
-        tolerances={"golden_closure": 0.0},
+        tolerances={"gradient": 0.0},
     )
     result = run_suite(cfg)
     assert not result.all_passed
     failed = {r.check_id for r in result.records if not r.passed}
-    assert "golden-closure-black" in failed
+    assert "gradient-bambo4" in failed
 
 
 def test_suite_dim3_runs_combinatorial_checks_only():
@@ -175,9 +175,16 @@ def test_config_validation():
         run_suite(SuiteConfig(seed=-1))
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(tolerances={"nope": 1.0}))
-    for bad in (math.inf, math.nan, -1e-9):
+    for bad in (math.inf, math.nan, -1e-9, "abc", None, 10**400):
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(tolerances={"gradient": bad}))
+    for bad in ("x", None, math.inf):
+        with pytest.raises(ConfigError):
+            run_suite(SuiteConfig(trials=bad))
+    with pytest.raises(ConfigError):
+        run_suite(SuiteConfig(dim="four"))
+    with pytest.raises(ConfigError):
+        run_suite(SuiteConfig(tolerances=None))
 
 
 def test_record_invariant():
