@@ -242,7 +242,14 @@ def vertices(cell: OrientedCell) -> frozenset[Point]:
 
 
 def has_vertex(cell: OrientedCell, point: Point) -> bool:
-    return tuple(point) in vertices(cell)
+    # Offsets from the base are 0 or 1, nonzero only along the cell's indices,
+    # and on the root lattice there are weight-many of them.
+    if len(point) != len(cell.base):
+        return False
+    moved = [(d, p - b) for d, (p, b) in enumerate(zip(point, cell.base)) if p != b]
+    return all(o == 1 and d in cell.indices for d, o in moved) and (
+        cell.weight is None or len(moved) == cell.weight
+    )
 
 
 class Chain:

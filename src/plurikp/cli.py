@@ -169,26 +169,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if result.all_passed else EXIT_CHECK_FAILED
 
 
-def _default_cell(kind_token: str, lattice: str, dim: int) -> OrientedCell:
-    if kind_token == "cube4":
-        return OrientedCell(CellKind.CUBE4, (0,) * dim, tuple(range(4)))
-    kind = CellKind.BLACK_AMBO4 if kind_token == "ambo-black" else CellKind.WHITE_AMBO4
-    return OrientedCell(kind, (0,) * (dim + 1), tuple(range(5)))
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     data, lattice, dim = read_field_file(args.input)
     branch = Branch.DKP if args.branch == "dkp" else Branch.DKP_MINUS
+    if dim < 4:
+        raise ConfigError(f"completion needs a field file with dim >= 4, got {dim}")
     if args.kind == "cube4":
-        if lattice != "cubic":
-            raise ConfigError("cube4 completion needs a cubic-lattice field file")
-        cell = _default_cell(args.kind, lattice, dim)
-        solution = solve_cube_ivp(cell, data, branch)
+        needed, solve = "cubic", solve_cube_ivp
+        cell = OrientedCell(CellKind.CUBE4, (0,) * dim, tuple(range(4)))
     else:
-        if lattice != "qan":
-            raise ConfigError("ambo completion needs a root-lattice field file")
-        cell = _default_cell(args.kind, lattice, dim)
-        solution = solve_ambo_ivp(cell, data, branch)
+        needed, solve = "qan", solve_ambo_ivp
+        kind = CellKind.BLACK_AMBO4 if args.kind == "ambo-black" else CellKind.WHITE_AMBO4
+        cell = OrientedCell(kind, (0,) * (dim + 1), tuple(range(5)))
+    if lattice != needed:
+        raise ConfigError(f"{args.kind} completion needs a {needed}-lattice field file")
+    solution = solve(cell, data, branch)
     report = classify_branch(solution, cell)
     s_value = exterior_derivative(solution, cell)
     write_field_file(args.output, solution, lattice, dim)
@@ -201,13 +196,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if (args.flower is None) == (args.standard is None):
         raise ConfigError("give either a flower chain file or --standard")
+    if args.standard is not None and not 3 <= args.dim <= config.MAX_DIM:
+        raise ConfigError(f"--dim must be in [3, {config.MAX_DIM}], got {args.dim}")
     if args.standard == "qa3":
-        dim = max(args.dim, 3)
-        center = (0,) * (dim + 1)
+        center = (0,) * (args.dim + 1)
         chain = qan_point_flower(center, range(4))
     elif args.standard == "z3":
-        dim = max(args.dim, 3)
-        center = (0,) * dim
+        center = (0,) * args.dim
         chain = cubic_point_flower(center, range(3))
     else:
         with open(args.flower, "r", encoding="utf-8") as handle:

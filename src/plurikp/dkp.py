@@ -2,22 +2,22 @@
 
 An octahedron with directions (i, j, k, l) carries the trilinear relation
 
-    x_ij x_kl - x_ik x_jl + x_il x_jk = 0
+    x_ij x_kl - x_ik x_jl + x_il x_jk = 0,
 
-on its six vertices; a 3D cube carries the same relation on the six middle
-vertices of its inscribed octahedron (single-index values stand in for the
-mixed pairs with the dropped direction).  Inverting every value turns the
-relation into the quartic
-
-    x_ik x_il x_jk x_jl - x_ij x_il x_jk x_kl + x_ij x_ik x_jl x_kl = 0.
+that is M1 + M2 + M3 = 0 in the signed monomials M; a 3D cube carries it on
+the six middle vertices of its inscribed octahedron (single-index values
+stand in for the mixed pairs with the dropped direction).  Inverting every
+value turns it into the quartic e2(M) = M1 M2 + M2 M3 + M3 M1 = 0.
 
 The relation system of a 4-cell is the part of its boundary that carries the
 relation: the five octahedron facets of a 4-ambo cell, or the eight 3D-cube
 facets of a 4D cube, each oriented by its facet coefficient.
 Solvers complete minimal initial data to full solutions: seven values on an
-ambo cell, nine on a 4D cube.  The completion formulas below make the
-remaining equations identities, so the self-check they run can only fail on
-numerically singular input.
+ambo cell, nine on a 4D cube.  The relation is affine in each value, so
+completion runs in rounds of one-unknown supports: each round solves every
+vertex that is the only unknown of some support, from values known when the
+round starts.  The remaining equations then hold identically, so the
+self-check that follows can only fail on numerically singular input.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import math
 import os
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import config
 from .cells import CellKind, OrientedCell, Point, _offset, facets
@@ -42,6 +42,9 @@ from .errors import (
 )
 
 Field = dict[Point, float]
+Points = tuple[Point, ...]
+IvpPoints = tuple[Points, Points]
+Step = tuple[Points, int]
 
 __all__ = [
     "Branch",
@@ -110,6 +113,11 @@ def field_values(
         raise MissingVertexError(f"field has no value at {exc.args[0]}") from exc
 
 
+def _monomials(values: Sequence[float]) -> tuple[float, float, float]:
+    a, b, c, d, e, f = values
+    return a * f, -(b * e), c * d
+
+
 def signed_monomials(
     field: Mapping[Point, float], points: tuple[Point, ...]
 ) -> tuple[float, float, float]:
@@ -118,8 +126,15 @@ def signed_monomials(
     The relation reads M1 + M2 + M3 = 0; slots (0,5), (1,4), (2,3) hold the
     factors of M1, M2, M3.
     """
-    a, b, c, d, e, f = field_values(field, points)
-    return a * f, -(b * e), c * d
+    return _monomials(field_values(field, points))
+
+
+def _relative(terms: tuple[float, float, float], cell: OrientedCell) -> float:
+    t1, t2, t3 = terms
+    scale = abs(t1) + abs(t2) + abs(t3)
+    if scale == 0.0:
+        raise SingularFieldError(f"all monomials vanish on {cell}")
+    return abs(t1 + t2 + t3) / scale
 
 
 def dkp_residual(field: Mapping[Point, float], cell: OrientedCell) -> float:
@@ -129,31 +144,24 @@ def dkp_residual(field: Mapping[Point, float], cell: OrientedCell) -> float:
 
 
 def dkp_residual_relative(field: Mapping[Point, float], cell: OrientedCell) -> float:
-    m1, m2, m3 = signed_monomials(field, six_points(cell))
-    scale = abs(m1) + abs(m2) + abs(m3)
-    if scale == 0.0:
-        raise SingularFieldError(f"all monomials vanish on {cell}")
-    return abs(m1 + m2 + m3) / scale
+    return _relative(signed_monomials(field, six_points(cell)), cell)
 
 
 def dkp_minus_residual(field: Mapping[Point, float], cell: OrientedCell) -> float:
-    """Signed quartic residual of the inverted relation.
+    """Signed quartic residual of the inverted relation, -e2(M).
 
     Equals (product of the six values) times the trilinear residual of the
     pointwise-inverted field.
     """
-    a, b, c, d, e, f = field_values(field, six_points(cell))
-    return cell.sign * (b * c * d * e - a * c * d * f + a * b * e * f)
+    m1, m2, m3 = signed_monomials(field, six_points(cell))
+    return -cell.sign * (m1 * m2 + m2 * m3 + m3 * m1)
 
 
 def dkp_minus_residual_relative(
     field: Mapping[Point, float], cell: OrientedCell
 ) -> float:
-    a, b, c, d, e, f = field_values(field, six_points(cell))
-    scale = abs(b * c * d * e) + abs(a * c * d * f) + abs(a * b * e * f)
-    if scale == 0.0:
-        raise SingularFieldError(f"all monomials vanish on {cell}")
-    return abs(b * c * d * e - a * c * d * f + a * b * e * f) / scale
+    m1, m2, m3 = signed_monomials(field, six_points(cell))
+    return _relative((m1 * m2, m2 * m3, m3 * m1), cell)
 
 
 @functools.lru_cache(maxsize=256)
@@ -171,6 +179,25 @@ def system_on_4cell(cell4: OrientedCell) -> tuple[OrientedCell, ...]:
     return supports
 
 
+def _solve_slot(field: Mapping[Point, float], points: Points, slot: int) -> float:
+    """Value at points[slot] that makes the relation on the six points hold.
+
+    The relation is affine in each value: rest is its value with the unknown
+    at zero, and its slope is the partner value (the other factor of the
+    unknown's monomial, at slot 5 - slot) times that monomial's sign.
+    """
+    values = list(field_values(field, points[:slot] + points[slot + 1 :]))
+    values.insert(slot, 0.0)
+    rest = sum(_monomials(values))
+    slope = -values[5 - slot] if slot in (1, 4) else values[5 - slot]
+    if slope == 0.0:
+        raise SingularFieldError(f"zero partner value when solving at {points[slot]}")
+    value = -rest / slope
+    if value == 0.0 or not math.isfinite(value):
+        raise SingularFieldError(f"solving at {points[slot]} gives singular {value}")
+    return value
+
+
 def solve_octahedron(
     field: Mapping[Point, float], cell: OrientedCell, unknown: Point
 ) -> float:
@@ -179,52 +206,82 @@ def solve_octahedron(
     unknown = tuple(unknown)
     if unknown not in points:
         raise CellError(f"{unknown} is not a relation vertex of {cell}")
-    # The relation is affine in each value: rest is its value with the
-    # unknown at zero, coeff the slope.
-    others = tuple(p for p in points if p != unknown)
-    probe = dict(zip(others, field_values(field, others)))
-    probe[unknown] = 0.0
-    rest = sum(signed_monomials(probe, points))
-    probe[unknown] = 1.0
-    slot = points.index(unknown)
-    coeff = signed_monomials(probe, points)[min(slot, 5 - slot)]
-    if coeff == 0.0:
-        raise SingularFieldError(f"zero coefficient when solving {cell} at {unknown}")
-    value = -rest / coeff
-    if value == 0.0 or not math.isfinite(value):
-        raise SingularFieldError(
-            f"solving {cell} at {unknown} gives singular value {value}"
-        )
-    return value
+    return _solve_slot(field, points, points.index(unknown))
 
 
-def ambo_ivp_points(cell4: OrientedCell) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-    """(required, solved) vertex tuples for the seven-point completion."""
-    base, idx = cell4.base, cell4.indices
-    if cell4.kind is CellKind.BLACK_AMBO4:
-        i, j, k, l, m = idx
-        required = ((i, l), (i, m), (j, l), (j, m), (k, l), (k, m), (l, m))
-        solved = ((i, j), (i, k), (j, k))
-    elif cell4.kind is CellKind.WHITE_AMBO4:
-        # Complements of the black positions within the direction set, so the
-        # same completion formulas apply verbatim to the complement view.
-        i, j, k, l, m = idx
-        required = (
-            (j, k, m), (j, k, l), (i, k, m), (i, k, l), (i, j, m), (i, j, l),
-            (i, j, k),
-        )
-        solved = ((k, l, m), (j, l, m), (i, l, m))
-    else:
+@functools.lru_cache(maxsize=256)
+def _completion_steps(cell4: OrientedCell, required: Points) -> tuple[Step, ...]:
+    """(six points, slot) of every vertex the completion solves, in order.
+
+    Each round solves the vertices that are the only unknown of some support,
+    each from the first such support in (indices, base) order, reading only
+    values known when the round starts.  That order keeps the solved ambo
+    vertices in the order (ij, ik, jk) for every labelling of the directions.
+    """
+    supports = sorted(system_on_4cell(cell4), key=lambda s: (s.indices, s.base))
+    known = set(required)
+    steps: list[Step] = []
+    while True:
+        found: dict[Point, Step] = {}
+        for points in map(six_points, supports):
+            unknown = [p for p in points if p not in known]
+            if len(unknown) == 1:
+                found.setdefault(unknown[0], (points, points.index(unknown[0])))
+        if not found:
+            return tuple(steps)
+        steps.extend(found.values())
+        known.update(found)
+
+
+def _ivp_points(cell4: OrientedCell, groups: Iterable[tuple[int, ...]]) -> IvpPoints:
+    required = tuple(_offset(cell4.base, g) for g in groups)
+    steps = _completion_steps(cell4, required)
+    return required, tuple(points[slot] for points, slot in steps)
+
+
+def ambo_ivp_points(cell4: OrientedCell) -> IvpPoints:
+    """(required, solved) vertex tuples for the seven-point completion.
+
+    The black initial vertices are the pairs through l or m; the white ones
+    are their complements within the cell's directions.
+    """
+    if cell4.kind not in (CellKind.BLACK_AMBO4, CellKind.WHITE_AMBO4):
         raise CellError(f"{cell4.kind.value} has no seven-point completion")
-    return (
-        tuple(_offset(base, g) for g in required),
-        tuple(_offset(base, g) for g in solved),
-    )
+    idx = cell4.indices
+    i, j, k, l, m = idx
+    groups = ((i, l), (i, m), (j, l), (j, m), (k, l), (k, m), (l, m))
+    if cell4.kind is CellKind.WHITE_AMBO4:
+        groups = tuple(tuple(d for d in idx if d not in g) for g in groups)
+    return _ivp_points(cell4, groups)
 
 
-def _take_initial(
-    data: Mapping[Point, float], required: tuple[Point, ...]
-) -> list[float]:
+def cube_ivp_points(cell4: OrientedCell) -> IvpPoints:
+    """(required, solved) vertex tuples for the nine-point cube completion.
+
+    The free set (two single-index, five double-index, two triple-index
+    vertices) was fixed once by rank probing the eight-equation system at
+    random solutions: the Jacobian rank is 5, leaving 14 - 5 = 9 free values.
+    """
+    if cell4.kind is not CellKind.CUBE4:
+        raise CellError(f"{cell4.kind.value} has no nine-point completion")
+    j, k, l, m = cell4.indices
+    groups = ((l,), (m,), (j, l), (j, m), (k, l), (k, m), (l, m), (j, k, l), (j, k, m))
+    return _ivp_points(cell4, groups)
+
+
+def _complete(
+    cell4: OrientedCell,
+    required: Points,
+    data: Mapping[Point, float],
+    branch: Branch,
+    solver: Callable[..., Field],
+) -> Field:
+    """Complete the data on `required` and self-check the result.
+
+    The inverse branch completes the inverted data through the public
+    `solver` (so call counts see the inner completion too) and inverts the
+    result, so the two branches are exactly conjugate under x -> 1/x.
+    """
     given = {tuple(p) for p in data}
     needed = set(required)
     if given != needed:
@@ -237,21 +294,20 @@ def _take_initial(
     for point, value in zip(required, values):
         if value == 0.0 or not math.isfinite(value):
             raise SingularFieldError(f"initial value at {point} is singular: {value}")
-    return values
-
-
-def _completed(value: float, label: str) -> float:
-    if not math.isfinite(value) or value == 0.0:
-        raise SingularFieldError(f"completed value {label} is singular: {value}")
-    return value
-
-
-def _self_check(field: Field, cell4: OrientedCell) -> None:
+    if branch is Branch.DKP_MINUS:
+        inverted = {p: 1.0 / v for p, v in zip(required, values)}
+        return invert_field(solver(cell4, inverted, Branch.DKP))
+    if branch is not Branch.DKP:
+        raise InitialDataError(f"cannot complete toward branch {branch}")
+    field: Field = dict(zip(required, values))
+    for points, slot in _completion_steps(cell4, required):
+        field[points[slot]] = _solve_slot(field, points, slot)
     worst = max(dkp_residual_relative(field, s) for s in system_on_4cell(cell4))
     if worst > config.TOLERANCES["solver_rel"]:
         raise SingularFieldError(
             f"completion failed self-check: relative residual {worst:.3e}"
         )
+    return field
 
 
 def solve_ambo_ivp(
@@ -259,47 +315,9 @@ def solve_ambo_ivp(
     data: Mapping[Point, float],
     branch: Branch = Branch.DKP,
 ) -> Field:
-    """Complete seven prescribed values on a 4-ambo cell to a full solution.
-
-    The inverse branch completes through the pointwise inversion, so the two
-    branches are exactly conjugate under x -> 1/x.
-    """
-    required, solved = ambo_ivp_points(cell4)
-    values = _take_initial(data, required)
-    if branch is Branch.DKP_MINUS:
-        inner = solve_ambo_ivp(
-            cell4, {p: 1.0 / v for p, v in zip(required, values)}, Branch.DKP
-        )
-        return {p: 1.0 / v for p, v in inner.items()}
-    if branch is not Branch.DKP:
-        raise InitialDataError(f"cannot complete toward branch {branch}")
-    x_il, x_im, x_jl, x_jm, x_kl, x_km, x_lm = values
-    p_ij, p_ik, p_jk = solved
-    field: Field = dict(zip(required, values))
-    field[p_ij] = _completed((x_il * x_jm - x_im * x_jl) / x_lm, "first")
-    field[p_ik] = _completed((x_il * x_km - x_im * x_kl) / x_lm, "second")
-    field[p_jk] = _completed((x_jl * x_km - x_jm * x_kl) / x_lm, "third")
-    _self_check(field, cell4)
-    return field
-
-
-def cube_ivp_points(cell4: OrientedCell) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-    """(required, solved) vertex tuples for the nine-point cube completion.
-
-    The free set (two single-index, five double-index, two triple-index
-    vertices) was fixed once by rank probing the eight-equation system at
-    random solutions: the Jacobian rank is 5, leaving 14 - 5 = 9 free values.
-    """
-    if cell4.kind is not CellKind.CUBE4:
-        raise CellError(f"{cell4.kind.value} has no nine-point completion")
-    base = cell4.base
-    j, k, l, m = cell4.indices
-    required = ((l,), (m,), (j, l), (j, m), (k, l), (k, m), (l, m), (j, k, l), (j, k, m))
-    solved = ((j,), (k,), (j, k), (j, l, m), (k, l, m))
-    return (
-        tuple(_offset(base, g) for g in required),
-        tuple(_offset(base, g) for g in solved),
-    )
+    """Complete seven prescribed values on a 4-ambo cell to a full solution."""
+    required, _ = ambo_ivp_points(cell4)
+    return _complete(cell4, required, data, branch, solve_ambo_ivp)
 
 
 def solve_cube_ivp(
@@ -309,30 +327,11 @@ def solve_cube_ivp(
 ) -> Field:
     """Complete nine prescribed values on a 4D cube to a full solution.
 
-    Single and double completions use the projected ambo formulas; the two
-    triple-index values then follow from linear relations of the shifted
-    facets.  The two corner vertices without equations never appear.
+    It takes three rounds (x_jk comes from the base facet (j, k, l) in the
+    second); the two corner vertices without equations never appear.
     """
-    required, solved = cube_ivp_points(cell4)
-    values = _take_initial(data, required)
-    if branch is Branch.DKP_MINUS:
-        inner = solve_cube_ivp(
-            cell4, {p: 1.0 / v for p, v in zip(required, values)}, Branch.DKP
-        )
-        return {p: 1.0 / v for p, v in inner.items()}
-    if branch is not Branch.DKP:
-        raise InitialDataError(f"cannot complete toward branch {branch}")
-    x_l, x_m, x_jl, x_jm, x_kl, x_km, x_lm, x_jkl, x_jkm = values
-    p_j, p_k, p_jk, p_jlm, p_klm = solved
-    field: Field = dict(zip(required, values))
-    field[p_j] = _completed((x_l * x_jm - x_m * x_jl) / x_lm, "single j")
-    field[p_k] = _completed((x_l * x_km - x_m * x_kl) / x_lm, "single k")
-    x_jk = _completed((x_jl * x_km - x_jm * x_kl) / x_lm, "double jk")
-    field[p_jk] = x_jk
-    field[p_klm] = _completed((x_kl * x_jkm - x_km * x_jkl) / x_jk, "triple klm")
-    field[p_jlm] = _completed((x_jl * x_jkm - x_jm * x_jkl) / x_jk, "triple jlm")
-    _self_check(field, cell4)
-    return field
+    required, _ = cube_ivp_points(cell4)
+    return _complete(cell4, required, data, branch, solve_cube_ivp)
 
 
 def golden_field(cell4: OrientedCell, branch: Branch = Branch.DKP) -> Field:
@@ -347,16 +346,10 @@ def golden_field(cell4: OrientedCell, branch: Branch = Branch.DKP) -> Field:
     a = GOLDEN_A if branch is Branch.DKP else 1.0 / GOLDEN_A
     adjacent = {frozenset((idx[t], idx[(t + 1) % 5])) for t in range(5)}
     field: Field = {}
-    if cell4.kind is CellKind.BLACK_AMBO4:
-        for pair in itertools.combinations(idx, 2):
-            value = a if frozenset(pair) in adjacent else -1.0
-            field[_offset(cell4.base, pair)] = value
-    else:
-        full = set(idx)
-        for triple in itertools.combinations(idx, 3):
-            complement = frozenset(full - set(triple))
-            value = a if complement in adjacent else -1.0
-            field[_offset(cell4.base, triple)] = value
+    for group in itertools.combinations(idx, cell4.weight):
+        # A white vertex takes the value of the black one at its complement.
+        pair = group if cell4.kind is CellKind.BLACK_AMBO4 else set(idx) - set(group)
+        field[_offset(cell4.base, group)] = a if frozenset(pair) in adjacent else -1.0
     return field
 
 
@@ -497,8 +490,10 @@ def read_field_file(path: str) -> tuple[Field, str, int]:
     lattice = payload.get("lattice")
     if lattice not in ("qan", "cubic"):
         raise FormatError(f"{path}: lattice must be 'qan' or 'cubic'")
+    dim = payload.get("dim")
+    if type(dim) is not int or not 3 <= dim <= config.MAX_DIM:
+        raise FormatError(f"{path}: dim must be an integer in [3, {config.MAX_DIM}]")
     try:
-        dim = int(payload["dim"])
         raw = payload["values"]
         field: Field = {}
         expected = dim + 1 if lattice == "qan" else dim

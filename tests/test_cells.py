@@ -189,6 +189,28 @@ def test_cube3_vertices_are_subset_offsets():
     assert vertices(c) == expected
 
 
+@pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_has_vertex_agrees_with_vertex_set(kind, sign):
+    if kind in (CellKind.SQUARE, CellKind.CUBE3, CellKind.CUBE4):
+        n_idx = {CellKind.SQUARE: 2, CellKind.CUBE3: 3, CellKind.CUBE4: 4}[kind]
+    else:
+        n_idx = c_dim(kind) + 1
+    base = (2, -1, 0, 3, 1, -2)
+    idx = (0, 2, 3, 5, 1)[:n_idx]
+    c = cell(kind, base, idx, sign)
+    verts = vertices(c)
+    for offsets in itertools.product((-1, 0, 1, 2), repeat=len(base)):
+        point = tuple(b + o for b, o in zip(base, offsets))
+        assert has_vertex(c, point) == (point in verts)
+    some = min(verts)
+    assert has_vertex(c, list(some))
+    assert not has_vertex(c, some + (0,))
+    assert not has_vertex(c, some[:-1])
+    assert not has_vertex(c, offset(offset(base, idx[:1]), idx[:1]))
+    assert not has_vertex(c, offset(some, (4,)))
+
+
 # --- facet tables -------------------------------------------------------------
 
 

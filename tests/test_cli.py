@@ -20,11 +20,11 @@ from plurikp.dkp import (
 PI2_4 = math.pi**2 / 4.0
 
 
-def write_golden_seven(path, branch=Branch.DKP):
-    cell = OrientedCell(CellKind.BLACK_AMBO4, (0,) * 5, (0, 1, 2, 3, 4))
+def write_golden_seven(path, branch=Branch.DKP, dim=4):
+    cell = OrientedCell(CellKind.BLACK_AMBO4, (0,) * (dim + 1), (0, 1, 2, 3, 4))
     required, _ = ambo_ivp_points(cell)
     golden = golden_field(cell, branch)
-    write_field_file(str(path), {p: golden[p] for p in required}, "qan", 4)
+    write_field_file(str(path), {p: golden[p] for p in required}, "qan", dim)
 
 
 def test_verify_small_run_writes_report(tmp_path, capsys):
@@ -157,6 +157,27 @@ def test_solve_rejects_ambiguous_field_file_with_usage_exit(tmp_path, case):
     assert main(["solve", "ambo-black", str(source), str(tmp_path / "o.json")]) == 2
 
 
+@pytest.mark.parametrize("dim", [4.5, "4", True, 11, 12])
+def test_solve_rejects_dim_outside_range_with_usage_exit(tmp_path, dim):
+    source = tmp_path / "seven.json"
+    # Points carry dim + 1 coordinates, so only the dim itself is wrong.
+    write_golden_seven(source, dim=dim if type(dim) is int else 4)
+    payload = json.loads(source.read_text())
+    payload["dim"] = dim
+    source.write_text(json.dumps(payload))
+    assert main(["solve", "ambo-black", str(source), str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, lattice, point",
+    [("cube4", "cubic", (0, 0, 1)), ("ambo-black", "qan", (0, 0, 1, 1))],
+)
+def test_solve_dim_three_is_config_exit(tmp_path, kind, lattice, point):
+    source = tmp_path / "small.json"
+    write_field_file(str(source), {point: 1.0}, lattice, 3)
+    assert main(["solve", kind, str(source), str(tmp_path / "o.json")]) == 2
+
+
 def test_solve_missing_file_is_io_exit(tmp_path):
     assert main(["solve", "ambo-black", str(tmp_path / "no.json"), "x.json"]) == 4
 
@@ -182,6 +203,12 @@ def test_decompose_standard_star(tmp_path, capsys):
 def test_decompose_cubic_star(capsys):
     assert main(["decompose", "--standard", "z3", "--dim", "3"]) == 0
     assert "residual chain: empty" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("standard", ["qa3", "z3"])
+@pytest.mark.parametrize("dim", ["50", "11", "2", "-5"])
+def test_decompose_standard_dim_outside_range_is_config_exit(standard, dim):
+    assert main(["decompose", "--standard", standard, "--dim", dim]) == 2
 
 
 def test_decompose_from_file(tmp_path, capsys):

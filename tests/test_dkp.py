@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from plurikp.dkp import (
     golden_sign_pattern,
     invert_field,
     monomial_sign_pattern,
+    nonsingularity_margin,
     read_field_file,
     six_points,
     solve_ambo_ivp,
@@ -100,6 +102,15 @@ def test_minus_residual_is_product_times_inverted_residual(values):
     lhs = dkp_minus_residual(f, cell)
     rhs = product * dkp_residual(inverted, cell)
     assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(lhs)))
+
+
+@given(st.lists(nonzero, min_size=6, max_size=6), st.sampled_from((1, -1)))
+@settings(max_examples=200, deadline=None)
+def test_minus_residual_relative_is_relative_residual_of_inverse(values, sign):
+    cell = oct_cell(sign=sign)
+    f = field_on(cell, values)
+    lhs = dkp_minus_residual_relative(f, cell)
+    assert lhs == pytest.approx(dkp_residual_relative(invert_field(f), cell), abs=1e-12)
 
 
 def test_cube3_relation_uses_inscribed_octahedron():
@@ -195,6 +206,29 @@ def test_solve_octahedron_zero_coefficient():
     f = dict(zip(points[1:], [1.0, 1.0, 1.0, 1.0, 0.0]))
     with pytest.raises(SingularFieldError):
         solve_octahedron(f, cell, points[0])
+
+
+def cube3_cell(sign=1):
+    return OrientedCell(CellKind.CUBE3, (0, 0, 0, 0), (0, 1, 2), sign)
+
+
+@pytest.mark.parametrize("make_cell", [oct_cell, cube3_cell], ids=["oct", "cube3"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("slot", range(6))
+def test_solve_octahedron_every_slot(make_cell, sign, slot, rng):
+    cell = make_cell(sign=sign)
+    points = six_points(cell)
+    unknown = points[slot]
+    for _ in range(50):
+        values = [float(rng.uniform(0.5, 2.0) * rng.choice((-1, 1))) for _ in range(6)]
+        f = field_on(cell, values)
+        del f[unknown]
+        f[unknown] = solve_octahedron(f, cell, unknown)
+        assert dkp_residual_relative(f, cell) <= 1e-12
+    # The partner shares the unknown's monomial; at zero the slope vanishes.
+    f[points[5 - slot]] = 0.0
+    with pytest.raises(SingularFieldError):
+        solve_octahedron(f, cell, unknown)
 
 
 # --- ambo completions --------------------------------------------------------------
@@ -313,6 +347,110 @@ def test_cube_completion_branch_conjugate(cube4, rng):
         assert mirrored[p] == pytest.approx(1.0 / v, rel=1e-12)
 
 
+# --- exact reference completions ------------------------------------------------------
+
+
+def hand_tables(cell4):
+    """(required, solved) of the hand-written completion formulas below."""
+    base = cell4.base
+    if cell4.kind is CellKind.CUBE4:
+        j, k, l, m = cell4.indices
+        required = ((l,), (m,), (j, l), (j, m), (k, l), (k, m), (l, m),
+                    (j, k, l), (j, k, m))
+        solved = ((j,), (k,), (j, k), (j, l, m), (k, l, m))
+    elif cell4.kind is CellKind.BLACK_AMBO4:
+        i, j, k, l, m = cell4.indices
+        required = ((i, l), (i, m), (j, l), (j, m), (k, l), (k, m), (l, m))
+        solved = ((i, j), (i, k), (j, k))
+    else:
+        # Complements of the black vertices, read by the same formulas.
+        i, j, k, l, m = cell4.indices
+        required = ((j, k, m), (j, k, l), (i, k, m), (i, k, l), (i, j, m),
+                    (i, j, l), (i, j, k))
+        solved = ((k, l, m), (j, l, m), (i, l, m))
+
+    def at(groups):
+        return tuple(
+            tuple(b + (d in g) for d, b in enumerate(base)) for g in groups
+        )
+
+    return at(required), at(solved)
+
+
+def hand_completion(cell4, data):
+    """The completion by hand formulas, in exact rational arithmetic."""
+    required, solved = hand_tables(cell4)
+    x = [Fraction(data[p]) for p in required]
+    if cell4.kind is CellKind.CUBE4:
+        x_l, x_m, x_jl, x_jm, x_kl, x_km, x_lm, x_jkl, x_jkm = x
+        x_jk = (x_jl * x_km - x_jm * x_kl) / x_lm
+        values = (
+            (x_l * x_jm - x_m * x_jl) / x_lm,
+            (x_l * x_km - x_m * x_kl) / x_lm,
+            x_jk,
+            (x_jl * x_jkm - x_jm * x_jkl) / x_jk,
+            (x_kl * x_jkm - x_km * x_jkl) / x_jk,
+        )
+    else:
+        x_il, x_im, x_jl, x_jm, x_kl, x_km, x_lm = x
+        values = (
+            (x_il * x_jm - x_im * x_jl) / x_lm,
+            (x_il * x_km - x_im * x_kl) / x_lm,
+            (x_jl * x_km - x_jm * x_kl) / x_lm,
+        )
+    return {**dict(zip(required, x)), **dict(zip(solved, values))}
+
+
+REFERENCE_CELLS = [
+    OrientedCell(CellKind.BLACK_AMBO4, Z5, (0, 1, 2, 3, 4)),
+    OrientedCell(CellKind.WHITE_AMBO4, Z5, (0, 1, 2, 3, 4)),
+    OrientedCell(CellKind.CUBE4, (0, 0, 0, 0), (0, 1, 2, 3)),
+    OrientedCell(CellKind.BLACK_AMBO4, (1, -2, 0, 3, 0, 5, 1), (0, 2, 3, 5, 6), -1),
+    OrientedCell(CellKind.WHITE_AMBO4, (1, -2, 0, 3, 0, 5, 1), (0, 2, 3, 5, 6), -1),
+    OrientedCell(CellKind.CUBE4, (2, 0, -1, 4, 0, 1), (0, 2, 4, 5), -1),
+]
+
+
+@pytest.mark.parametrize("cell4", REFERENCE_CELLS, ids=str)
+def test_ivp_points_match_hand_tables(cell4):
+    cube = cell4.kind is CellKind.CUBE4
+    required, solved = (cube_ivp_points if cube else ambo_ivp_points)(cell4)
+    hand_required, hand_solved = hand_tables(cell4)
+    assert required == hand_required
+    if cube:
+        assert len(solved) == len(hand_solved)
+        assert set(solved) == set(hand_solved)
+    else:
+        assert solved == hand_solved
+
+
+@pytest.mark.parametrize("branch", [Branch.DKP, Branch.DKP_MINUS])
+@pytest.mark.parametrize("cell4", REFERENCE_CELLS, ids=str)
+def test_completion_matches_exact_hand_formulas(cell4, branch):
+    cube = cell4.kind is CellKind.CUBE4
+    required, _ = (cube_ivp_points if cube else ambo_ivp_points)(cell4)
+    solve = solve_cube_ivp if cube else solve_ambo_ivp
+    rng = np.random.default_rng([2024, REFERENCE_CELLS.index(cell4)])
+    checked = 0
+    while checked < 100:
+        data = {p: float(rng.uniform(0.5, 2.0) * rng.choice((-1, 1))) for p in required}
+        try:
+            solution = solve(cell4, data, branch)
+        except SingularFieldError:
+            continue
+        if nonsingularity_margin(solution, system_on_4cell(cell4)) < 1e-3:
+            continue
+        checked += 1
+        if branch is Branch.DKP:
+            exact = hand_completion(cell4, data)
+        else:
+            inverted = {p: 1 / Fraction(v) for p, v in data.items()}
+            exact = {p: 1 / v for p, v in hand_completion(cell4, inverted).items()}
+        assert set(solution) == set(exact)
+        for p, value in exact.items():
+            assert abs(Fraction(solution[p]) - value) <= 1e-12 * abs(value)
+
+
 # --- constant solutions ------------------------------------------------------------
 
 
@@ -411,6 +549,16 @@ def test_field_file_rejects_ambiguous_or_non_finite_values(tmp_path, values):
     path.write_text(
         '{"format": "plurikp-field/1", "lattice": "qan", "dim": 4,'
         ' "values": {%s}}' % values
+    )
+    with pytest.raises(FormatError):
+        read_field_file(str(path))
+
+
+@pytest.mark.parametrize("dim", ["4.5", '"4"', "true", "11", "2", "-5", "null"])
+def test_field_file_rejects_dim_that_is_not_an_integer_in_range(tmp_path, dim):
+    path = tmp_path / "field.json"
+    path.write_text(
+        '{"format": "plurikp-field/1", "lattice": "qan", "dim": %s, "values": {}}' % dim
     )
     with pytest.raises(FormatError):
         read_field_file(str(path))
