@@ -1,11 +1,13 @@
 """Real dilogarithm machinery.
 
-Three functions are exposed:
+Four functions are exposed:
 
-    dilog(z)       Li2(z) = -int_0^z log(1-x)/x dx, real for z <= 1
-    re_dilog(z)    lam(z) = -int_0^z log|1-x|/x dx, real for every finite z;
-                   equals Li2(z) for z <= 1 and Re Li2(z) for z > 1
-    skew_dilog(z)  Lam(z) = lam(z) - lam(1/z), skew under z -> 1/z
+    dilog(z)             Li2(z) = -int_0^z log(1-x)/x dx, real for z <= 1
+    re_dilog(z)          lam(z) = -int_0^z log|1-x|/x dx, real for every
+                         finite z; equals Li2(z) for z <= 1 and Re Li2(z)
+                         for z > 1
+    skew_dilog(z)        Lam(z) = lam(z) - lam(1/z), skew under z -> 1/z
+    skew_dilog_array(z)  Lam elementwise on an array, by the same branches
 
 re_dilog is the building block of the octahedron Lagrangian; skew_dilog is
 what actually enters it.  Branches:
@@ -37,6 +39,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import SingularFieldError
 
 __all__ = [
@@ -45,6 +49,7 @@ __all__ = [
     "dilog",
     "re_dilog",
     "skew_dilog",
+    "skew_dilog_array",
     "special_value_table",
 ]
 
@@ -122,6 +127,39 @@ def skew_dilog(z: float) -> float:
     if z > 0.0:
         return sign * (2.0 * re_dilog(z) + 0.5 * math.log(z) ** 2 - _PI2_3)
     return sign * (2.0 * re_dilog(z) + 0.5 * math.log(-z) ** 2 + PI2_6)
+
+
+def _li2_series_array(z: np.ndarray) -> np.ndarray:
+    u = -np.log1p(-z)
+    v = u * u
+    p = np.zeros_like(v)
+    for c in _HORNER:
+        p = p * v + c
+    return u - 0.25 * v + u * v * p
+
+
+def skew_dilog_array(z) -> np.ndarray:
+    """skew_dilog elementwise: the same branches, series and coefficients.
+
+    Agrees with the scalar function to a few units in the last place (the
+    logarithms are numpy's, not the math module's).
+    """
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise SingularFieldError("non-finite dilogarithm argument")
+    if np.any(z == 0.0):
+        raise SingularFieldError("skew_dilog(0) is undefined (pole of 1/z)")
+    outside = np.abs(z) > 1.0
+    z = np.where(outside, 1.0 / z, z)
+    # On (0.5, 1] Li2 comes from the Euler reflection, elsewhere from the series.
+    reflect = z > 0.5
+    log_abs = np.log(np.abs(z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        series = _li2_series_array(np.where(reflect, 1.0 - z, z))
+        li2 = np.where(reflect, PI2_6 - log_abs * np.log1p(-z) - series, series)
+    value = 2.0 * li2 + 0.5 * (log_abs * log_abs) + np.where(z > 0.0, -_PI2_3, PI2_6)
+    value = np.where(outside, -value, value)
+    return np.where(np.abs(z) == 1.0, 0.0, value)
 
 
 def special_value_table() -> list[tuple[str, float, float]]:

@@ -157,11 +157,16 @@ def dkp_minus_residual(field: Mapping[Point, float], cell: OrientedCell) -> floa
     return -cell.sign * (m1 * m2 + m2 * m3 + m3 * m1)
 
 
+def _inverse_terms(monomials: tuple[float, float, float]) -> tuple[float, float, float]:
+    # The terms of e2(M), whose sum the inverse relation sets to zero.
+    m1, m2, m3 = monomials
+    return m1 * m2, m2 * m3, m3 * m1
+
+
 def dkp_minus_residual_relative(
     field: Mapping[Point, float], cell: OrientedCell
 ) -> float:
-    m1, m2, m3 = signed_monomials(field, six_points(cell))
-    return _relative((m1 * m2, m2 * m3, m3 * m1), cell)
+    return _relative(_inverse_terms(signed_monomials(field, six_points(cell))), cell)
 
 
 @functools.lru_cache(maxsize=256)
@@ -188,7 +193,8 @@ def _solve_slot(field: Mapping[Point, float], points: Points, slot: int) -> floa
     """
     values = list(field_values(field, points[:slot] + points[slot + 1 :]))
     values.insert(slot, 0.0)
-    rest = sum(_monomials(values))
+    m1, m2, m3 = _monomials(values)
+    rest = m1 + m2 + m3
     slope = -values[5 - slot] if slot in (1, 4) else values[5 - slot]
     if slope == 0.0:
         raise SingularFieldError(f"zero partner value when solving at {points[slot]}")
@@ -440,16 +446,21 @@ _FIELD_FORMAT = "plurikp-field/1"
 def write_field_file(
     path: str, field: Mapping[Point, float], lattice: str, dim: int
 ) -> None:
-    """Write a field as JSON; repr-based floats round-trip exactly."""
+    """Write a field as JSON; repr-based floats round-trip exactly.
+
+    The payload is checked as read_field_file checks it before any file is
+    opened, so a written file always reads back.
+    """
     payload = {
         "format": _FIELD_FORMAT,
         "lattice": lattice,
-        "dim": int(dim),
+        "dim": dim,
         "values": {
             ",".join(str(c) for c in point): float(value)
             for point, value in sorted(field.items())
         },
     }
+    _parse_payload(payload, path)
     write_json(path, payload)
 
 
@@ -485,6 +496,10 @@ def read_field_file(path: str) -> tuple[Field, str, int]:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
+    return _parse_payload(payload, path)
+
+
+def _parse_payload(payload: object, path: str) -> tuple[Field, str, int]:
     if not isinstance(payload, dict) or payload.get("format") != _FIELD_FORMAT:
         raise FormatError(f"{path}: missing or unknown format marker")
     lattice = payload.get("lattice")

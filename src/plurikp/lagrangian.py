@@ -27,7 +27,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .cells import Chain, CellKind, OrientedCell, Point, _offset, facets, vertices
 from .dilog import skew_dilog
@@ -86,16 +86,25 @@ def exterior_derivative(field: Mapping[Point, float], cell4: OrientedCell) -> fl
 
 # --- corner products ---------------------------------------------------------
 
-# A term (six points, monomial slot, sign) is one relation support through a
-# vertex: the points in six_points order, the monomial holding the vertex,
-# and the support's orientation.
-_Term = tuple[tuple[Point, ...], int, int]
+# A term (triple, monomial slot, sign) is one relation support through a
+# vertex: the index of its six points in the cell's triples, the monomial
+# holding the vertex, and the support's orientation.
+_Term = tuple[int, int, int]
+_Monomials = tuple[float, float, float]
+_ByTriple = Mapping[int, _Monomials] | Sequence[_Monomials]
 
 
 class _Corner(NamedTuple):
     terms: tuple[_Term, ...]  # every relation support through the vertex
     black: tuple[_Term, ...] | None  # double cube corners: the black half
     inverse: bool  # triple cube corners report their white factor 1/value
+
+
+class _CornerTable(NamedTuple):
+    # Six points of every support (system_on_4cell order), then on a 4D cube
+    # the octahedron on the six double-index vertices; terms index these.
+    triples: tuple[tuple[Point, ...], ...]
+    corners: dict[Point, _Corner | None]
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,7 @@ class CornerProduct:
 
 def _regular_monomials(
     field: Mapping[Point, float], points: tuple[Point, ...]
-) -> tuple[float, float, float]:
+) -> _Monomials:
     # A zero or non-finite value makes one of its monomials zero or non-finite.
     monomials = signed_monomials(field, points)
     for m in monomials:
@@ -129,31 +138,44 @@ def _binomial(x: float, y: float) -> float:
     return total
 
 
-def _ratio_product(field: Mapping[Point, float], terms: tuple[_Term, ...]) -> float:
+def _ratio_product(monomials: _ByTriple, terms: tuple[_Term, ...]) -> float:
     product = 1.0
-    for points, k, sign in terms:
-        m = _regular_monomials(field, points)
+    for t, k, sign in terms:
+        m = monomials[t]
         num = _binomial(m[k], m[k - 1])
         den = _binomial(m[k], m[(k + 1) % 3])
         product *= num / den if sign > 0 else den / num
     return product
 
 
+def _corner_from(monomials: _ByTriple, corner: _Corner) -> CornerProduct:
+    """The corner product, given the monomials of the triples its terms use."""
+    value = _ratio_product(monomials, corner.terms)
+    if corner.black is not None:
+        black = _ratio_product(monomials, corner.black)
+        return CornerProduct(value, (black, black / value))
+    if corner.inverse:
+        return CornerProduct(value, (1.0 / value,))
+    return CornerProduct(value, (value,))
+
+
 @functools.lru_cache(maxsize=256)
-def _corner_table(cell4: OrientedCell) -> dict[Point, _Corner | None]:
-    """Corner of every vertex of a 4-cell; None marks the two inert cube corners."""
+def _corner_table(cell4: OrientedCell) -> _CornerTable:
+    """Triples and the corner of every vertex of a 4-cell; None marks the two
+    inert cube corners."""
     base = cell4.base
+    supports = system_on_4cell(cell4.positive())
+    triples = [six_points(support) for support in supports]
     through: dict[Point, list[_Term]] = {}
     base_side: dict[Point, list[_Term]] = {}
-    for support in system_on_4cell(cell4.positive()):
-        points = six_points(support)
+    for t, (support, points) in enumerate(zip(supports, triples)):
         for slot, point in enumerate(points):
-            term = (points, min(slot, 5 - slot), support.sign)
+            term = (t, min(slot, 5 - slot), support.sign)
             through.setdefault(point, []).append(term)
             if support.base == base:
                 base_side.setdefault(point, []).append(term)
     # Vertices on no support (the base and far corners of a 4D cube) are inert.
-    table: dict[Point, _Corner | None] = dict.fromkeys(vertices(cell4))
+    corners: dict[Point, _Corner | None] = dict.fromkeys(vertices(cell4))
     # On a 4D cube the black factor of a double corner closes its base-side
     # supports with the octahedron on the six double-index vertices, and the
     # triple corners are the ones on shifted supports only.
@@ -161,13 +183,15 @@ def _corner_table(cell4: OrientedCell) -> dict[Point, _Corner | None]:
     octahedron = tuple(
         _offset(base, pair) for pair in itertools.combinations(cell4.indices, 2)
     ) if cube else ()
+    if cube:
+        triples.append(octahedron)
     for vertex, terms in through.items():
         black = None
         if vertex in octahedron:
             slot = octahedron.index(vertex)
-            black = (*base_side[vertex], (octahedron, min(slot, 5 - slot), 1))
-        table[vertex] = _Corner(tuple(terms), black, cube and vertex not in base_side)
-    return table
+            black = (*base_side[vertex], (len(supports), min(slot, 5 - slot), 1))
+        corners[vertex] = _Corner(tuple(terms), black, cube and vertex not in base_side)
+    return _CornerTable(tuple(triples), corners)
 
 
 def corner_product(
@@ -176,20 +200,16 @@ def corner_product(
     """The product of fractions behind the corner equation at the vertex."""
     vertex = tuple(vertex)
     table = _corner_table(cell4)
-    if vertex not in table:
+    if vertex not in table.corners:
         raise CellError(f"{vertex} is not a vertex of {cell4}")
-    corner = table[vertex]
+    corner = table.corners[vertex]
     if corner is None:
         raise NoCornerEquationError(
             f"no corner equation at {vertex}: the action does not depend on it"
         )
-    value = _ratio_product(field, corner.terms)
-    if corner.black is not None:
-        black = _ratio_product(field, corner.black)
-        return CornerProduct(value, (black, black / value))
-    if corner.inverse:
-        return CornerProduct(value, (1.0 / value,))
-    return CornerProduct(value, (value,))
+    used = {t for t, _, _ in corner.terms + (corner.black or ())}
+    monomials = {t: _regular_monomials(field, table.triples[t]) for t in sorted(used)}
+    return _corner_from(monomials, corner)
 
 
 def corner_residual(

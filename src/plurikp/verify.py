@@ -5,6 +5,14 @@ Every check produces CheckRecord rows with a single scalar comparison
 (pass iff |observed - expected| <= tolerance), so reports stay diffable.
 Randomized checks derive one PCG64 generator per (seed, check, trial), which
 makes suites bit-reproducible and independent of the order of trials.
+
+The randomized trial loops (corner and closure trials, gradients, negative
+control) run as batched kernels from _batch over all trials at once.  Each
+trial keeps its own generator and only rejected trials redraw, so every trial
+draws the same field as the scalar samplers _random_solution and
+_random_plain_field.  The scalar functions remain the reference: they serve
+solve, the golden, el-sum and rank-probe checks, and the kernels are tested
+against them.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from . import config
+from . import _batch, config
 from .cells import (
     Chain,
     CellKind,
@@ -34,19 +42,20 @@ from .cells import (
     qan_point_flower,
     vertices,
 )
-from .dilog import skew_dilog, special_value_table
+# skew_dilog and corner_product are no longer called here, but stay bound:
+# the benchmark's tracer wraps verify.skew_dilog and verify.corner_product.
+from .dilog import skew_dilog, skew_dilog_array, special_value_table
 from .dkp import (
     Branch,
     Field,
+    _inverse_terms,
+    _relative,
     ambo_ivp_points,
     cube_ivp_points,
-    dkp_minus_residual_relative,
     dkp_residual,
-    dkp_residual_relative,
     golden_field,
     golden_sign_pattern,
     golden_solution,
-    invert_field,
     monomial_sign_pattern,
     nonsingularity_margin,
     six_points,
@@ -63,6 +72,9 @@ from .errors import (
     SingularFieldError,
 )
 from .lagrangian import (
+    _corner_from,
+    _corner_table,
+    _regular_monomials,
     action,
     corner_product,
     corner_residual,
@@ -199,10 +211,11 @@ def _record(
     cfg: SuiteConfig, check_id: str, observed: float, expected: float, tol_name: str
 ) -> CheckRecord:
     tolerance = cfg.tolerance(tol_name)
+    observed = float(observed)
     return CheckRecord(
         check_id=check_id,
         params_digest=_digest(cfg, check_id, tolerance),
-        observed=float(observed),
+        observed=observed,
         expected=float(expected),
         tolerance=tolerance,
         passed=abs(observed - expected) <= tolerance,
@@ -319,15 +332,21 @@ def classify_branch(
     `neither_floor` away from both units, and the zone in between raises
     InconclusiveBranchError rather than mislabel borderline numerics.
     """
-    factors: dict[Point, tuple[float, ...]] = {}
-    for vertex in corner_vertices(cell4):
-        factors[vertex] = corner_product(field, cell4, vertex).factors
+    # Each triple's monomials are read once and shared by every corner.
+    table = _corner_table(cell4)
+    monomials = [_regular_monomials(field, points) for points in table.triples]
+    factors = {
+        vertex: _corner_from(monomials, table.corners[vertex]).factors
+        for vertex in corner_vertices(cell4)
+    }
     flat = [f for fs in factors.values() for f in fs]
     dev_minus = max(abs(f + 1.0) for f in flat)
     dev_plus = max(abs(f - 1.0) for f in flat)
     supports = system_on_4cell(cell4)
-    max_dkp = max(dkp_residual_relative(field, s) for s in supports)
-    max_minus = max(dkp_minus_residual_relative(field, s) for s in supports)
+    max_dkp = max(_relative(m, s) for m, s in zip(monomials, supports))
+    max_minus = max(
+        _relative(_inverse_terms(m), s) for m, s in zip(monomials, supports)
+    )
     if dev_minus <= tolerance and max_dkp <= system_tolerance:
         branch = Branch.DKP
     elif dev_plus <= tolerance and max_minus <= system_tolerance:
@@ -532,16 +551,19 @@ def _check_dilog_values(cfg: SuiteConfig) -> list[CheckRecord]:
     return records
 
 
+def _nonzero_draws(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The first `count` draws uniform in [-50, 50] with |z| >= 1e-9, as a
+    one-at-a-time loop that skips the others takes them."""
+    z = np.empty(0)
+    while len(z) < count:
+        more = rng.uniform(-50.0, 50.0, size=count - len(z))
+        z = np.concatenate([z, more[np.abs(more) >= 1e-9]])
+    return z
+
+
 def _check_skew_antisymmetry(cfg: SuiteConfig) -> list[CheckRecord]:
-    rng = _rng(cfg, "skew-antisymmetry", 0)
-    worst = 0.0
-    count = 0
-    while count < 10_000:
-        z = float(rng.uniform(-50.0, 50.0))
-        if abs(z) < 1e-9:
-            continue
-        worst = max(worst, abs(skew_dilog(z) + skew_dilog(1.0 / z)))
-        count += 1
+    z = _nonzero_draws(_rng(cfg, "skew-antisymmetry", 0), 10_000)
+    worst = float(np.max(np.abs(skew_dilog_array(z) + skew_dilog_array(1.0 / z))))
     return [_record(cfg, "skew-antisymmetry", worst, 0.0, "skew_antisymmetry")]
 
 
@@ -597,41 +619,8 @@ def _closure_value_set(cell: OrientedCell) -> tuple[float, ...]:
     return (-PI2_4, PI2_4)
 
 
-def _branch_closure_trial(
-    cfg: SuiteConfig, cell: OrientedCell, check_id: str, trial: int
-) -> tuple[float, ...]:
-    rng = _rng(cfg, check_id, trial)
-    # Reference-component solution: closure must hit the golden constant.
-    solution = _random_solution(rng, cell, component="golden")
-    mislabeled = 0
-    report = classify_branch(solution, cell)
-    if report.branch is not Branch.DKP:
-        mislabeled += 1
-    s_value = exterior_derivative(solution, cell)
-    inverse = invert_field(solution)
-    inverse_report = classify_branch(inverse, cell)
-    if inverse_report.branch is not Branch.DKP_MINUS:
-        mislabeled += 1
-    s_inverse = exterior_derivative(inverse, cell)
-    target = closure_constant(cell, Branch.DKP)
-    inverse_target = closure_constant(cell, Branch.DKP_MINUS)
-    # Unrestricted-component solution: corner units still hold, the closure
-    # value must land in the finite component value set.
-    free = _random_solution(rng, cell, component="any")
-    free_report = classify_branch(free, cell)
-    if free_report.branch is not Branch.DKP:
-        mislabeled += 1
-    s_free = exterior_derivative(free, cell)
-    value_gap = min(abs(s_free - v) for v in _closure_value_set(cell))
-    return (
-        report.max_dev_minus,
-        abs(s_value - target),
-        inverse_report.max_dev_plus,
-        abs(s_inverse - inverse_target),
-        free_report.max_dev_minus,
-        value_gap,
-        mislabeled,
-    )
+def _trial_rngs(cfg: SuiteConfig, check_id: str) -> list[np.random.Generator]:
+    return [_rng(cfg, check_id, t) for t in range(cfg.trials)]
 
 
 def _check_random_solutions(cfg: SuiteConfig) -> list[CheckRecord]:
@@ -644,51 +633,65 @@ def _check_random_solutions(cfg: SuiteConfig) -> list[CheckRecord]:
         cells = [(_cube_cell(cfg), "cube")]
     records = []
     for cell, tag in cells:
-        check_id = f"corner-{tag}"
-        rows = [
-            _branch_closure_trial(cfg, cell, check_id, t) for t in range(cfg.trials)
+        tab = _batch.tables(cell)
+        rngs = _trial_rngs(cfg, f"corner-{tag}")
+        # Reference-component solutions: closure must hit the golden constant,
+        # and their inverses the inverse one.
+        solution = _batch.solutions(
+            tab, rngs, _SOLUTION_MARGIN, "golden", _MAX_REDRAWS
+        )
+        report = _batch.classify(tab, solution)
+        s_value = _batch.exterior_derivative(tab, solution)
+        inverse = 1.0 / solution
+        inverse_report = _batch.classify(tab, inverse)
+        s_inverse = _batch.exterior_derivative(tab, inverse)
+        # Unrestricted-component solutions, drawn next from the same
+        # generators: corner units still hold, the closure value must land in
+        # the finite component value set.
+        free = _batch.solutions(tab, rngs, _SOLUTION_MARGIN, "any", _MAX_REDRAWS)
+        free_report = _batch.classify(tab, free)
+        s_free = _batch.exterior_derivative(tab, free)
+        value_set = np.array(_closure_value_set(cell))
+        value_gap = np.abs(s_free[:, None] - value_set).min(axis=1)
+        mislabeled = (
+            np.sum(report.branch != _batch.DKP)
+            + np.sum(inverse_report.branch != _batch.DKP_MINUS)
+            + np.sum(free_report.branch != _batch.DKP)
+        )
+        target = closure_constant(cell, Branch.DKP)
+        inverse_target = closure_constant(cell, Branch.DKP_MINUS)
+        worst_per_trial = [
+            (f"corner-{tag}", report.max_dev_minus, "corner_unit"),
+            (f"closure-{tag}", np.abs(s_value - target), "closure_random"),
+            (f"corner-{tag}-inverse", inverse_report.max_dev_plus, "corner_unit"),
+            (
+                f"closure-{tag}-inverse", np.abs(s_inverse - inverse_target),
+                "closure_random",
+            ),
+            (f"corner-{tag}-anycomponent", free_report.max_dev_minus, "corner_unit"),
+            (f"closure-{tag}-valueset", value_gap, "closure_random"),
         ]
-        columns = list(zip(*rows))
         records.extend(
-            [
-                _record(cfg, f"corner-{tag}", max(columns[0]), 0.0, "corner_unit"),
-                _record(cfg, f"closure-{tag}", max(columns[1]), 0.0, "closure_random"),
-                _record(
-                    cfg, f"corner-{tag}-inverse", max(columns[2]), 0.0, "corner_unit"
-                ),
-                _record(
-                    cfg, f"closure-{tag}-inverse", max(columns[3]), 0.0,
-                    "closure_random",
-                ),
-                _record(
-                    cfg, f"corner-{tag}-anycomponent", max(columns[4]), 0.0,
-                    "corner_unit",
-                ),
-                _record(
-                    cfg, f"closure-{tag}-valueset", max(columns[5]), 0.0,
-                    "closure_random",
-                ),
-                _record(cfg, f"branch-{tag}-mislabels", sum(columns[6]), 0.0, "exact"),
-            ]
+            _record(cfg, check_id, values.max(), 0.0, tol_name)
+            for check_id, values, tol_name in worst_per_trial
+        )
+        records.append(
+            _record(cfg, f"branch-{tag}-mislabels", mislabeled, 0.0, "exact")
         )
     return records
 
 
-def _gradient_trial(
-    cfg: SuiteConfig, cell: OrientedCell, check_id: str, trial: int
-) -> float:
-    rng = _rng(cfg, check_id, trial)
-    supports = _relation_supports(cell)
-    field = _random_plain_field(rng, vertices(cell), supports, config.FD_MARGIN)
-    chain = facets(cell)
-    worst = 0.0
-    # Without relation supports (4-simplices) every vertex has a zero corner.
-    targets = corner_vertices(cell) if supports else sorted(vertices(cell))
-    for vertex in targets:
-        analytic = corner_residual(field, cell, vertex)
-        numeric = _fd_action(field, chain, vertex)
-        worst = max(worst, abs(analytic - numeric))
-    return worst
+def _gradient_gaps(cfg: SuiteConfig, cell: OrientedCell, check_id: str) -> np.ndarray:
+    """Worst |analytic - finite-difference| corner derivative per trial."""
+    if not _relation_supports(cell):
+        # 4-simplices: tetrahedra carry no Lagrangian, so both sides are 0.
+        return np.zeros(cfg.trials)
+    tab = _batch.tables(cell)
+    field = _batch.plain_fields(
+        tab, _trial_rngs(cfg, check_id), config.FD_MARGIN, _MAX_REDRAWS
+    )
+    gaps = np.abs(_batch.corner_residuals(tab, field) - _batch.fd_actions(tab, field))
+    return gaps.max(axis=1)
 
 
 def _check_gradient(cfg: SuiteConfig) -> list[CheckRecord]:
@@ -704,8 +707,8 @@ def _check_gradient(cfg: SuiteConfig) -> list[CheckRecord]:
     records = []
     for cell, tag in cells:
         check_id = f"gradient-{tag}"
-        rows = [_gradient_trial(cfg, cell, check_id, t) for t in range(cfg.trials)]
-        records.append(_record(cfg, check_id, max(rows), 0.0, "gradient"))
+        worst = _gradient_gaps(cfg, cell, check_id).max()
+        records.append(_record(cfg, check_id, worst, 0.0, "gradient"))
     return records
 
 
@@ -873,25 +876,19 @@ def _check_el_sum(cfg: SuiteConfig) -> list[CheckRecord]:
     return records
 
 
-def _negative_trial(cfg: SuiteConfig, cell: OrientedCell, trial: int) -> int:
-    rng = _rng(cfg, "negative-control", trial)
-    field = _random_plain_field(
-        rng, vertices(cell), _relation_supports(cell), config.DRAW_FLOOR
-    )
-    try:
-        report = classify_branch(field, cell)
-    except InconclusiveBranchError:
-        return 1
-    return 0 if report.branch is Branch.NEITHER else 1
-
-
 def _check_negative_control(cfg: SuiteConfig) -> list[CheckRecord]:
     if cfg.lattice == "qan":
         cell = _ambo_cell(cfg, CellKind.BLACK_AMBO4)
     else:
         cell = _cube_cell(cfg)
-    rows = [_negative_trial(cfg, cell, t) for t in range(cfg.trials)]
-    return [_record(cfg, "negative-control", sum(rows), 0, "exact")]
+    tab = _batch.tables(cell)
+    field = _batch.plain_fields(
+        tab, _trial_rngs(cfg, "negative-control"), config.DRAW_FLOOR, _MAX_REDRAWS
+    )
+    # A gray-zone trial counts as a failure to reject, like a branch label.
+    report = _batch.classify(tab, field, allow_gray=True)
+    failures = int(np.sum(report.branch != _batch.NEITHER))
+    return [_record(cfg, "negative-control", failures, 0, "exact")]
 
 
 def _check_rank_probes(cfg: SuiteConfig) -> list[CheckRecord]:

@@ -20,11 +20,11 @@ from plurikp.dkp import (
 PI2_4 = math.pi**2 / 4.0
 
 
-def write_golden_seven(path, branch=Branch.DKP, dim=4):
-    cell = OrientedCell(CellKind.BLACK_AMBO4, (0,) * (dim + 1), (0, 1, 2, 3, 4))
+def write_golden_seven(path, branch=Branch.DKP):
+    cell = OrientedCell(CellKind.BLACK_AMBO4, (0,) * 5, (0, 1, 2, 3, 4))
     required, _ = ambo_ivp_points(cell)
     golden = golden_field(cell, branch)
-    write_field_file(str(path), {p: golden[p] for p in required}, "qan", dim)
+    write_field_file(str(path), {p: golden[p] for p in required}, "qan", 4)
 
 
 def test_verify_small_run_writes_report(tmp_path, capsys):
@@ -160,10 +160,16 @@ def test_solve_rejects_ambiguous_field_file_with_usage_exit(tmp_path, case):
 @pytest.mark.parametrize("dim", [4.5, "4", True, 11, 12])
 def test_solve_rejects_dim_outside_range_with_usage_exit(tmp_path, dim):
     source = tmp_path / "seven.json"
-    # Points carry dim + 1 coordinates, so only the dim itself is wrong.
-    write_golden_seven(source, dim=dim if type(dim) is int else 4)
-    payload = json.loads(source.read_text())
-    payload["dim"] = dim
+    # Points carry dim + 1 coordinates, so only the dim itself is wrong; the
+    # file is written by hand, since write_field_file refuses such a dim.
+    size = dim if type(dim) is int else 4
+    cell = OrientedCell(CellKind.BLACK_AMBO4, (0,) * (size + 1), (0, 1, 2, 3, 4))
+    required, _ = ambo_ivp_points(cell)
+    golden = golden_field(cell)
+    values = {",".join(map(str, p)): golden[p] for p in required}
+    payload = {
+        "format": "plurikp-field/1", "lattice": "qan", "dim": dim, "values": values
+    }
     source.write_text(json.dumps(payload))
     assert main(["solve", "ambo-black", str(source), str(tmp_path / "o.json")]) == 2
 

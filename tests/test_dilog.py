@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from plurikp.dilog import GOLDEN_A, dilog, re_dilog, skew_dilog, special_value_table
+from plurikp.dilog import (
+    GOLDEN_A,
+    dilog,
+    re_dilog,
+    skew_dilog,
+    skew_dilog_array,
+    special_value_table,
+)
 from plurikp.errors import SingularFieldError
 
 
@@ -124,27 +131,27 @@ def _log_uniform(sign: float, lo: float, hi: float, count: int, seed: int) -> li
     return [sign * 10.0 ** float(e) for e in exponents]
 
 
-@pytest.mark.parametrize(
-    "branch,points",
-    [
+_BRANCH_POINTS = [
         ("(0,1)", _log_uniform(1.0, -300.0, 0.0, 150, 1)),
         ("(-1,0)", _log_uniform(-1.0, -300.0, 0.0, 150, 2)),
         ("z>1", _log_uniform(1.0, 0.0, 300.0, 150, 3)),
         ("z<-1", _log_uniform(-1.0, 0.0, 300.0, 150, 4)),
         ("|z|<3", np.random.default_rng(5).uniform(-3.0, 3.0, 200).tolist()),
-    ],
-)
+]
+_EDGES = [
+    1e-300, -1e-300, 1e300, -1e300,
+    1.0 + 1e-15, 1.0 - 1e-15, -1.0 + 1e-15, -1.0 - 1e-15,
+]
+
+
+@pytest.mark.parametrize("branch,points", _BRANCH_POINTS)
 def test_skew_dilog_matches_mpmath_on_every_branch(branch, points):
     for z in points:
         ref = skew_reference(z)
         assert abs(skew_dilog(z) - ref) <= 2e-15 * max(1.0, abs(ref)), (branch, z)
 
 
-@pytest.mark.parametrize(
-    "z",
-    [1e-300, -1e-300, 1e300, -1e300, 1.0 + 1e-15, 1.0 - 1e-15, -1.0 + 1e-15,
-     -1.0 - 1e-15],
-)
+@pytest.mark.parametrize("z", _EDGES)
 def test_skew_dilog_matches_mpmath_at_edges(z):
     ref = skew_reference(z)
     assert abs(skew_dilog(z) - ref) <= 2e-15 * max(1.0, abs(ref))
@@ -171,3 +178,35 @@ def test_non_finite_arguments_rejected():
 def test_skew_dilog_rejects_zero():
     with pytest.raises(SingularFieldError):
         skew_dilog(0.0)
+
+
+@pytest.mark.parametrize("branch,points", _BRANCH_POINTS + [("edges", _EDGES)])
+def test_skew_dilog_array_matches_mpmath_and_scalar(branch, points):
+    values = skew_dilog_array(np.array(points))
+    for z, value in zip(points, values):
+        ref = skew_reference(z)
+        assert abs(value - ref) <= 2e-15 * max(1.0, abs(ref)), (branch, z)
+        scalar = skew_dilog(z)
+        assert abs(value - scalar) <= 2e-15 * max(1.0, abs(scalar)), (branch, z)
+
+
+def test_skew_dilog_array_matches_scalar_in_bulk():
+    rng = np.random.default_rng(11)
+    inside = rng.uniform(-3.0, 3.0, 20_000)
+    z = np.concatenate([inside, 1.0 / rng.uniform(-3.0, 3.0, 20_000)])
+    z = np.concatenate([z, [0.5, -0.5, 2.0, -2.0, 1.0, -1.0, np.nextafter(0.5, 1.0)]])
+    values = skew_dilog_array(z)
+    scalar = np.array([skew_dilog(x) for x in z])
+    assert np.all(np.abs(values - scalar) <= 2e-15 * np.maximum(1.0, np.abs(scalar)))
+    grid = skew_dilog_array(np.array([[1.0, -1.0], [2.0, 0.5]]))
+    assert grid.shape == (2, 2)
+    assert grid[0].tolist() == [0.0, 0.0]
+    assert grid[1, 0] == pytest.approx(-grid[1, 1], abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf"), -float("inf")])
+def test_skew_dilog_array_rejects_what_the_scalar_rejects(bad):
+    with pytest.raises(SingularFieldError):
+        skew_dilog(bad)
+    with pytest.raises(SingularFieldError):
+        skew_dilog_array(np.array([0.5, bad, 2.0]))

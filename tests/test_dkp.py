@@ -530,6 +530,28 @@ def test_field_file_round_trip(tmp_path, black_ambo, rng):
 
 
 @pytest.mark.parametrize(
+    "lattice, dim, value",
+    [
+        ("qan", 11, 1.0),
+        ("qan", 2, 1.0),
+        ("qan", 4.5, 1.0),
+        ("qan", True, 1.0),
+        ("hex", 4, 1.0),
+        ("qan", 4, math.nan),
+        ("cubic", 4, 1.0),
+    ],
+)
+def test_write_field_file_refuses_what_read_field_file_rejects(
+    tmp_path, black_ambo, lattice, dim, value
+):
+    # Nothing is written: neither the target nor the temporary file.
+    field = {p: value for p in vertices(black_ambo)}
+    with pytest.raises(FormatError):
+        write_field_file(str(tmp_path / "field.json"), field, lattice, dim)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "values",
     [
         '"0,0,0,1,1": 2.5, "0,0,0,1,1": 3.0',

@@ -1,6 +1,8 @@
 """Branch classification, closure records, corner-sum checks, and suites."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +74,29 @@ def test_branch_exclusivity(black_ambo, rng):
             report.max_dev_minus <= 1e-7 and report.max_dev_plus <= 1e-7
         )
         assert report.branch is Branch.DKP
+
+
+@pytest.mark.parametrize(
+    "cell_name, triples", [("black_ambo", 5), ("white_ambo", 5), ("cube4", 9)]
+)
+def test_classify_reads_each_triple_once(request, monkeypatch, cell_name, triples):
+    # Five supports on an ambo cell; eight on the cube plus the octahedron on
+    # its six double-index vertices.
+    import plurikp.dkp as dkp_module
+
+    cell = request.getfixturevalue(cell_name)
+    field = _random_solution(np.random.default_rng(3), cell)
+    reads = []
+    original = dkp_module.field_values
+
+    def counting(values, points):
+        reads.append(tuple(points))
+        return original(values, points)
+
+    monkeypatch.setattr(dkp_module, "field_values", counting)
+    report = classify_branch(field, cell)
+    assert report.branch is Branch.DKP
+    assert len(reads) == len(set(reads)) == triples
 
 
 def test_classify_gray_zone_raises(black_ambo, rng):
@@ -239,3 +264,27 @@ def test_flower_check_counts_library_errors_and_propagates_others(monkeypatch):
     monkeypatch.setattr(verify_module, "decompose_flower", failing(TypeError))
     with pytest.raises(TypeError):
         verify_module._check_flower_decomposition(cfg)
+
+
+_SUITE_RECORDS = json.loads(
+    (Path(__file__).parent / "data" / "suite_records.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", sorted(_SUITE_RECORDS["suites"]))
+def test_suite_matches_records_of_the_scalar_trial_loops(key):
+    # Ids, order and pass/fail are identical; observed values may move in
+    # their last bits, and finite differences amplify that by 1/FD_STEP.
+    lattice, seed = key.split("/")
+    cfg = SuiteConfig(
+        lattice=lattice, dim=_SUITE_RECORDS["dim"], trials=_SUITE_RECORDS["trials"],
+        seed=int(seed),
+    )
+    records = run_suite(cfg).records
+    expected = _SUITE_RECORDS["suites"][key]
+    assert [r.check_id for r in records] == [e["check_id"] for e in expected]
+    assert [r.passed for r in records] == [e["passed"] for e in expected]
+    for record, recorded in zip(records, expected):
+        differenced = record.check_id.startswith(("gradient-", "el-sum"))
+        tolerance = 1e-9 if differenced else 1e-12
+        assert abs(record.observed - recorded["observed"]) <= tolerance, record.check_id
