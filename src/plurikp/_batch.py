@@ -263,16 +263,13 @@ class Report(NamedTuple):
     max_dkp_minus_relative: np.ndarray
 
 
-def classify(
-    tab: Tables,
-    x: np.ndarray,
-    tolerance: float = config.TOLERANCES["classify"],
-    neither_floor: float = config.TOLERANCES["neither_floor"],
-    system_tolerance: float = config.TOLERANCES["system_rel"],
-    allow_gray: bool = False,
-) -> Report:
-    """classify_branch per trial; a trial in the gray zone raises
-    InconclusiveBranchError unless allow_gray, which reports it as GRAY."""
+def classify(tab: Tables, x: np.ndarray, allow_gray: bool = False) -> Report:
+    """classify_branch at its default tolerances, per trial; a trial in the
+    gray zone raises InconclusiveBranchError unless allow_gray, which reports
+    it as GRAY."""
+    tolerance = config.TOLERANCES["classify"]
+    neither_floor = config.TOLERANCES["neither_floor"]
+    system_tolerance = config.TOLERANCES["system_rel"]
     _, factors = corner_products(tab, x)
     dev_minus = np.abs(factors + 1.0).max(axis=1)
     dev_plus = np.abs(factors - 1.0).max(axis=1)
@@ -302,9 +299,10 @@ def corner_residuals(tab: Tables, x: np.ndarray) -> np.ndarray:
     return tab.cell.sign * np.log(magnitude) / x[:, tab.corners]
 
 
-def fd_actions(tab: Tables, x: np.ndarray, step: float = config.FD_STEP) -> np.ndarray:
-    """Central difference of the local facet action at every corner vertex,
-    in the value there: (trials, C)."""
+def fd_actions(tab: Tables, x: np.ndarray) -> np.ndarray:
+    """Central difference at FD_STEP of the local facet action at every corner
+    vertex, in the value there: (trials, C)."""
+    step = config.FD_STEP
     out = np.empty((len(x), len(tab.corners)))
     # One corner at a time keeps the temporaries small.
     for c, (column, rows) in enumerate(zip(tab.corners, tab.local)):
@@ -330,14 +328,13 @@ def _sample(
     draw: Callable[[np.random.Generator], np.ndarray],
     accept: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     width: int,
-    max_draws: int,
     failure: str,
 ) -> np.ndarray:
     """Draw for every pending trial from its own generator, keep the accepted
-    candidates, and redraw only the rejected trials."""
+    candidates, and redraw only the rejected trials, up to MAX_REDRAWS."""
     out = np.full((len(rngs), width), np.nan)
     pending = np.arange(len(rngs))
-    for _ in range(max_draws):
+    for _ in range(config.MAX_REDRAWS):
         candidates, ok = accept(np.array([draw(rngs[t]) for t in pending]))
         out[pending[ok]] = candidates[ok]
         pending = pending[~ok]
@@ -355,7 +352,7 @@ def _signed_draws(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def plain_fields(
-    tab: Tables, rngs: Sequence[np.random.Generator], margin: float, max_draws: int
+    tab: Tables, rngs: Sequence[np.random.Generator], margin: float
 ) -> np.ndarray:
     """The fields _random_plain_field draws on the cell's vertices."""
     n = len(tab.points)
@@ -364,7 +361,7 @@ def plain_fields(
         return x, margins(tab, x) >= margin
 
     return _sample(
-        rngs, lambda rng: _signed_draws(rng, n), accept, n, max_draws,
+        rngs, lambda rng: _signed_draws(rng, n), accept, n,
         "could not draw a field with the requested margin",
     )
 
@@ -374,7 +371,6 @@ def solutions(
     rngs: Sequence[np.random.Generator],
     margin: float,
     component: str,
-    max_draws: int,
 ) -> np.ndarray:
     """The solutions _random_solution draws; columns off the completion
     (the base and far corners of a 4D cube) hold NaN."""
@@ -399,6 +395,6 @@ def solutions(
         return x, ok
 
     return _sample(
-        rngs, draw, accept, len(tab.points), max_draws,
+        rngs, draw, accept, len(tab.points),
         "could not draw a nonsingular solution",
     )

@@ -20,6 +20,13 @@ FD_MARGIN = 0.03
 # Central finite-difference step used by gradient and Euler-Lagrange checks.
 FD_STEP = 1e-6
 
+# Draws a rejection sampler makes before it gives up with SingularFieldError.
+MAX_REDRAWS = 500
+
+# Trials per batched array in the suite's trial loops: bounds the memory of a
+# suite whatever its trial count.
+TRIAL_CHUNK = 2000
+
 # Default tolerances, overridable per check via SuiteConfig or --tol.<name>.
 TOLERANCES = {
     "special_values": 1e-11,

@@ -7,9 +7,10 @@ Randomized checks derive one PCG64 generator per (seed, check, trial), which
 makes suites bit-reproducible and independent of the order of trials.
 
 The randomized trial loops (corner and closure trials, gradients, negative
-control) run as batched kernels from _batch over all trials at once.  Each
-trial keeps its own generator and only rejected trials redraw, so every trial
-draws the same field as the scalar samplers _random_solution and
+control) run as batched kernels from _batch, over chunks of up to
+config.TRIAL_CHUNK trials so that memory does not grow with the trial count.
+Each trial keeps its own generator and only rejected trials redraw, so every
+trial draws the same field as the scalar samplers _random_solution and
 _random_plain_field.  The scalar functions remain the reference: they serve
 solve, the golden, el-sum and rank-probe checks, and the kernels are tested
 against them.
@@ -22,7 +23,7 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -104,7 +105,6 @@ _SOLUTION_MARGIN = 1e-5
 # analytic residuals only need well-conditioned logarithms there, nothing
 # is finite-differenced through the auxiliary cells.
 _EXTENSION_MARGIN = 1e-3
-_MAX_REDRAWS = 500
 
 
 # --- records and configuration ----------------------------------------------
@@ -263,7 +263,7 @@ def _random_solution(
     if target is not None:
         reference = golden_solution(cell4)
         signs = [math.copysign(1.0, reference[p]) for p in required]
-    for _ in range(_MAX_REDRAWS):
+    for _ in range(config.MAX_REDRAWS):
         if target is None:
             data = _draw_field(rng, required)
         else:
@@ -293,7 +293,7 @@ def _random_plain_field(
 ) -> Field:
     points = tuple(points)
     supports = tuple(supports)
-    for _ in range(_MAX_REDRAWS):
+    for _ in range(config.MAX_REDRAWS):
         candidate = _draw_field(rng, points)
         if not supports or nonsingularity_margin(candidate, supports) >= margin:
             return candidate
@@ -464,7 +464,7 @@ def check_euler_lagrange_sum(
     rng = np.random.default_rng(
         [cfg.seed, zlib.crc32(b"el-sum-extension"), extension_seed]
     )
-    for _ in range(_MAX_REDRAWS):
+    for _ in range(config.MAX_REDRAWS):
         trial_field = dict(padded_field)
         trial_field.update(_draw_field(rng, missing))
         if nonsingularity_margin(trial_field, supports) >= _EXTENSION_MARGIN:
@@ -619,8 +619,52 @@ def _closure_value_set(cell: OrientedCell) -> tuple[float, ...]:
     return (-PI2_4, PI2_4)
 
 
-def _trial_rngs(cfg: SuiteConfig, check_id: str) -> list[np.random.Generator]:
-    return [_rng(cfg, check_id, t) for t in range(cfg.trials)]
+def _trial_chunks(
+    cfg: SuiteConfig, check_id: str
+) -> Iterator[list[np.random.Generator]]:
+    """The trials' generators in consecutive chunks of at most TRIAL_CHUNK."""
+    for start in range(0, cfg.trials, config.TRIAL_CHUNK):
+        stop = min(start + config.TRIAL_CHUNK, cfg.trials)
+        yield [_rng(cfg, check_id, t) for t in range(start, stop)]
+
+
+def _solution_trials(
+    cell: OrientedCell, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """Per trial: the six worst deviations of the random-solution checks, in
+    record order, and the number of mislabeled branches."""
+    tab = _batch.tables(cell)
+    # Reference-component solutions: closure must hit the golden constant,
+    # and their inverses the inverse one.
+    solution = _batch.solutions(tab, rngs, _SOLUTION_MARGIN, "golden")
+    report = _batch.classify(tab, solution)
+    s_value = _batch.exterior_derivative(tab, solution)
+    inverse = 1.0 / solution
+    inverse_report = _batch.classify(tab, inverse)
+    s_inverse = _batch.exterior_derivative(tab, inverse)
+    # Unrestricted-component solutions, drawn next from the same generators:
+    # corner units still hold, the closure value must land in the finite
+    # component value set.
+    free = _batch.solutions(tab, rngs, _SOLUTION_MARGIN, "any")
+    free_report = _batch.classify(tab, free)
+    s_free = _batch.exterior_derivative(tab, free)
+    value_set = np.array(_closure_value_set(cell))
+    mislabeled = (
+        (report.branch != _batch.DKP).astype(float)
+        + (inverse_report.branch != _batch.DKP_MINUS)
+        + (free_report.branch != _batch.DKP)
+    )
+    return np.column_stack(
+        [
+            report.max_dev_minus,
+            np.abs(s_value - closure_constant(cell, Branch.DKP)),
+            inverse_report.max_dev_plus,
+            np.abs(s_inverse - closure_constant(cell, Branch.DKP_MINUS)),
+            free_report.max_dev_minus,
+            np.abs(s_free[:, None] - value_set).min(axis=1),
+            mislabeled,
+        ]
+    )
 
 
 def _check_random_solutions(cfg: SuiteConfig) -> list[CheckRecord]:
@@ -633,65 +677,46 @@ def _check_random_solutions(cfg: SuiteConfig) -> list[CheckRecord]:
         cells = [(_cube_cell(cfg), "cube")]
     records = []
     for cell, tag in cells:
-        tab = _batch.tables(cell)
-        rngs = _trial_rngs(cfg, f"corner-{tag}")
-        # Reference-component solutions: closure must hit the golden constant,
-        # and their inverses the inverse one.
-        solution = _batch.solutions(
-            tab, rngs, _SOLUTION_MARGIN, "golden", _MAX_REDRAWS
+        rows = np.concatenate(
+            [
+                _solution_trials(cell, rngs)
+                for rngs in _trial_chunks(cfg, f"corner-{tag}")
+            ]
         )
-        report = _batch.classify(tab, solution)
-        s_value = _batch.exterior_derivative(tab, solution)
-        inverse = 1.0 / solution
-        inverse_report = _batch.classify(tab, inverse)
-        s_inverse = _batch.exterior_derivative(tab, inverse)
-        # Unrestricted-component solutions, drawn next from the same
-        # generators: corner units still hold, the closure value must land in
-        # the finite component value set.
-        free = _batch.solutions(tab, rngs, _SOLUTION_MARGIN, "any", _MAX_REDRAWS)
-        free_report = _batch.classify(tab, free)
-        s_free = _batch.exterior_derivative(tab, free)
-        value_set = np.array(_closure_value_set(cell))
-        value_gap = np.abs(s_free[:, None] - value_set).min(axis=1)
-        mislabeled = (
-            np.sum(report.branch != _batch.DKP)
-            + np.sum(inverse_report.branch != _batch.DKP_MINUS)
-            + np.sum(free_report.branch != _batch.DKP)
-        )
-        target = closure_constant(cell, Branch.DKP)
-        inverse_target = closure_constant(cell, Branch.DKP_MINUS)
-        worst_per_trial = [
-            (f"corner-{tag}", report.max_dev_minus, "corner_unit"),
-            (f"closure-{tag}", np.abs(s_value - target), "closure_random"),
-            (f"corner-{tag}-inverse", inverse_report.max_dev_plus, "corner_unit"),
-            (
-                f"closure-{tag}-inverse", np.abs(s_inverse - inverse_target),
-                "closure_random",
-            ),
-            (f"corner-{tag}-anycomponent", free_report.max_dev_minus, "corner_unit"),
-            (f"closure-{tag}-valueset", value_gap, "closure_random"),
-        ]
+        worst = rows.max(axis=0)
         records.extend(
-            _record(cfg, check_id, values.max(), 0.0, tol_name)
-            for check_id, values, tol_name in worst_per_trial
+            _record(cfg, check_id, worst[c], 0.0, tol_name)
+            for c, (check_id, tol_name) in enumerate(
+                [
+                    (f"corner-{tag}", "corner_unit"),
+                    (f"closure-{tag}", "closure_random"),
+                    (f"corner-{tag}-inverse", "corner_unit"),
+                    (f"closure-{tag}-inverse", "closure_random"),
+                    (f"corner-{tag}-anycomponent", "corner_unit"),
+                    (f"closure-{tag}-valueset", "closure_random"),
+                ]
+            )
         )
         records.append(
-            _record(cfg, f"branch-{tag}-mislabels", mislabeled, 0.0, "exact")
+            _record(cfg, f"branch-{tag}-mislabels", rows[:, 6].sum(), 0.0, "exact")
         )
     return records
 
 
-def _gradient_gaps(cfg: SuiteConfig, cell: OrientedCell, check_id: str) -> np.ndarray:
-    """Worst |analytic - finite-difference| corner derivative per trial."""
+def _gradient_gap(cfg: SuiteConfig, cell: OrientedCell, check_id: str) -> float:
+    """Worst |analytic - finite-difference| corner derivative over the trials."""
     if not _relation_supports(cell):
         # 4-simplices: tetrahedra carry no Lagrangian, so both sides are 0.
-        return np.zeros(cfg.trials)
+        return 0.0
     tab = _batch.tables(cell)
-    field = _batch.plain_fields(
-        tab, _trial_rngs(cfg, check_id), config.FD_MARGIN, _MAX_REDRAWS
-    )
-    gaps = np.abs(_batch.corner_residuals(tab, field) - _batch.fd_actions(tab, field))
-    return gaps.max(axis=1)
+    worst = 0.0
+    for rngs in _trial_chunks(cfg, check_id):
+        field = _batch.plain_fields(tab, rngs, config.FD_MARGIN)
+        gaps = np.abs(
+            _batch.corner_residuals(tab, field) - _batch.fd_actions(tab, field)
+        )
+        worst = max(worst, gaps.max())
+    return worst
 
 
 def _check_gradient(cfg: SuiteConfig) -> list[CheckRecord]:
@@ -707,7 +732,7 @@ def _check_gradient(cfg: SuiteConfig) -> list[CheckRecord]:
     records = []
     for cell, tag in cells:
         check_id = f"gradient-{tag}"
-        worst = _gradient_gaps(cfg, cell, check_id).max()
+        worst = _gradient_gap(cfg, cell, check_id)
         records.append(_record(cfg, check_id, worst, 0.0, "gradient"))
     return records
 
@@ -882,12 +907,12 @@ def _check_negative_control(cfg: SuiteConfig) -> list[CheckRecord]:
     else:
         cell = _cube_cell(cfg)
     tab = _batch.tables(cell)
-    field = _batch.plain_fields(
-        tab, _trial_rngs(cfg, "negative-control"), config.DRAW_FLOOR, _MAX_REDRAWS
-    )
-    # A gray-zone trial counts as a failure to reject, like a branch label.
-    report = _batch.classify(tab, field, allow_gray=True)
-    failures = int(np.sum(report.branch != _batch.NEITHER))
+    failures = 0
+    for rngs in _trial_chunks(cfg, "negative-control"):
+        field = _batch.plain_fields(tab, rngs, config.DRAW_FLOOR)
+        # A gray-zone trial counts as a failure to reject, like a branch label.
+        report = _batch.classify(tab, field, allow_gray=True)
+        failures += int(np.sum(report.branch != _batch.NEITHER))
     return [_record(cfg, "negative-control", failures, 0, "exact")]
 
 

@@ -63,10 +63,10 @@ def _as_field(tab, row):
 def _samples(cell):
     """Seeded golden and free solutions, their inverses and plain fields."""
     tab = _batch.tables(cell)
-    golden = _batch.solutions(tab, _rngs(1), 1e-5, "golden", 500)
-    free = _batch.solutions(tab, _rngs(2), 1e-5, "any", 500)
-    plain = _batch.plain_fields(tab, _rngs(3), config.FD_MARGIN, 500)
-    loose = _batch.plain_fields(tab, _rngs(4), config.DRAW_FLOOR, 500)
+    golden = _batch.solutions(tab, _rngs(1), 1e-5, "golden")
+    free = _batch.solutions(tab, _rngs(2), 1e-5, "any")
+    plain = _batch.plain_fields(tab, _rngs(3), config.FD_MARGIN)
+    loose = _batch.plain_fields(tab, _rngs(4), config.DRAW_FLOOR)
     return tab, [golden, 1.0 / golden, free, plain, loose]
 
 
@@ -92,8 +92,8 @@ def test_golden_then_free_draws_share_each_trial_generator():
     cell = _CELLS[0]
     tab = _batch.tables(cell)
     rngs = _rngs(5)
-    golden = _batch.solutions(tab, rngs, 1e-5, "golden", 500)
-    free = _batch.solutions(tab, rngs, 1e-5, "any", 500)
+    golden = _batch.solutions(tab, rngs, 1e-5, "golden")
+    free = _batch.solutions(tab, rngs, 1e-5, "any")
     for t, rng in enumerate(_rngs(5)):
         assert _as_field(tab, golden[t]) == _random_solution(
             rng, cell, component="golden"
@@ -227,12 +227,13 @@ def test_gray_zone_raises_unless_allowed(black_ambo, rng):
     ]
 
 
-def test_exhausted_redraws_raise_singular_field_error(black_ambo):
+def test_exhausted_redraws_raise_singular_field_error(black_ambo, monkeypatch):
+    monkeypatch.setattr(config, "MAX_REDRAWS", 4)
     tab = _batch.tables(black_ambo)
     with pytest.raises(SingularFieldError):
-        _batch.plain_fields(tab, _rngs(7, 3), 1.0, 4)
+        _batch.plain_fields(tab, _rngs(7, 3), 1.0)
     with pytest.raises(SingularFieldError):
-        _batch.solutions(tab, _rngs(7, 3), 1.0, "any", 4)
+        _batch.solutions(tab, _rngs(7, 3), 1.0, "any")
     with pytest.raises(SingularFieldError):
         _random_plain_field(
             np.random.default_rng(7), vertices(black_ambo),

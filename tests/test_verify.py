@@ -32,7 +32,7 @@ from plurikp.verify import (
     _relation_supports,
     _rng,
 )
-from plurikp import config
+from plurikp import _batch, config
 
 PI2_4 = math.pi**2 / 4.0
 
@@ -152,6 +152,26 @@ def test_suite_deterministic():
     second = run_suite(cfg)
     assert first.records == second.records
     assert first.all_passed
+
+
+@pytest.mark.parametrize("lattice", ["qan", "cubic"])
+def test_suite_runs_trials_in_chunks_with_unchanged_records(lattice, monkeypatch):
+    cfg = SuiteConfig(lattice=lattice, dim=4, trials=12, seed=11)
+    whole = run_suite(cfg).records
+    sizes = []
+
+    def spying(sampler):
+        def wrapped(tab, rngs, *args):
+            sizes.append(len(rngs))
+            return sampler(tab, rngs, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(config, "TRIAL_CHUNK", 5)
+    monkeypatch.setattr(_batch, "solutions", spying(_batch.solutions))
+    monkeypatch.setattr(_batch, "plain_fields", spying(_batch.plain_fields))
+    assert run_suite(cfg).records == whole
+    assert sizes and set(sizes) == {5, 2}
 
 
 def test_suite_cubic_small():
