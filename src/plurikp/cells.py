@@ -19,6 +19,14 @@ as offsets.  A cell stores (kind, base, indices, sign); indices are kept
 strictly increasing and any transposition is folded into the sign, so equal
 cells compare equal bit for bit and chains cancel exactly.
 
+Construction follows one rule: public construction validates, derived
+construction trusts.  `OrientedCell(...)` and `Chain(terms)` check and
+normalize whatever they are given.  A cell made from the parts of a cell
+that is already valid (its facets, its positive or negative copy, its
+padding within the ambient headroom, the lifts of a flower decomposition)
+and a chain made from terms that are already canonical (sums, differences,
+multiples, boundaries, restrictions, paddings) skip those checks.
+
 Facets follow one orientation recipe: put alternating signs on the index
 list starting with "+" on the last index, delete one index, keep the sign.
 For a weight-w root-lattice cell the deleted-index facet of weight w stays
@@ -31,10 +39,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from . import config
 from .errors import (
@@ -47,6 +56,7 @@ from .errors import (
 )
 
 Point = tuple[int, ...]
+T = TypeVar("T")
 
 __all__ = [
     "CellKind",
@@ -84,6 +94,11 @@ class CellKind(Enum):
     CUBE3 = "cube3"
     CUBE4 = "cube4"
 
+    # Members are singletons, so identity hashing is exact; it runs in C,
+    # where Enum's own hash of the name is a Python call inside every cell
+    # hash and every per-kind table lookup.
+    __hash__ = object.__hash__
+
 
 # kind -> (family, cell dimension, index count, vertex weight or None)
 _INFO: dict[CellKind, tuple[str, int, int, int | None]] = {
@@ -119,6 +134,12 @@ FOUR_CELL_KINDS = (
     CellKind.WHITE_SIMPLEX4,
     CellKind.CUBE4,
 )
+
+
+def _max_ambient(family: str) -> int:
+    # Headroom past MAX_DIM covers the auxiliary directions that corner
+    # decompositions append (two on the root lattice, one on the cubic).
+    return config.MAX_DIM + (3 if family == "qan" else 1)
 
 
 def _sort_with_parity(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:
@@ -161,9 +182,7 @@ class OrientedCell:
             raise CellError(f"repeated index in {sorted_idx}")
         ambient = len(base)
         min_ambient = 4 if family == "qan" else 3
-        # Headroom past MAX_DIM covers the auxiliary directions that corner
-        # decompositions append (two on the root lattice, one on the cubic).
-        max_ambient = config.MAX_DIM + (3 if family == "qan" else 1)
+        max_ambient = _max_ambient(family)
         if ambient < min_ambient or ambient > max_ambient:
             raise CellError(
                 f"ambient size {ambient} outside [{min_ambient}, {max_ambient}]"
@@ -202,10 +221,10 @@ class OrientedCell:
         return _INFO[self.kind][3]
 
     def positive(self) -> "OrientedCell":
-        return self if self.sign == 1 else OrientedCell(self.kind, self.base, self.indices)
+        return self if self.sign == 1 else _derived_cell(self.kind, self.base, self.indices, 1)
 
     def __neg__(self) -> "OrientedCell":
-        return OrientedCell(self.kind, self.base, self.indices, -self.sign)
+        return _derived_cell(self.kind, self.base, self.indices, -self.sign)
 
     def shifted(self, direction: int, steps: int = 1) -> "OrientedCell":
         base = list(self.base)
@@ -213,10 +232,35 @@ class OrientedCell:
         return OrientedCell(self.kind, tuple(base), self.indices, self.sign)
 
     def padded(self, extra: int) -> "OrientedCell":
-        return OrientedCell(self.kind, self.base + (0,) * extra, self.indices, self.sign)
+        base = self.base + (0,) * extra
+        if len(base) > _max_ambient(self.family):
+            # Past the headroom: let the constructor raise CellError.
+            return OrientedCell(self.kind, base, self.indices, self.sign)
+        return _derived_cell(self.kind, base, self.indices, self.sign)
 
     def __str__(self) -> str:
         return format_cell(self)
+
+
+_set_field = object.__setattr__  # bypasses the frozen dataclass's __setattr__
+
+
+def _derived_cell(
+    kind: CellKind, base: Point, indices: tuple[int, ...], sign: int
+) -> OrientedCell:
+    """A cell built from the parts of a valid cell, already in canonical form.
+
+    The caller guarantees what `__post_init__` would check: a tuple base of
+    ints inside the ambient range, strictly increasing in-range indices of
+    the kind's count, and a sign of +1 or -1.  Nothing is re-sorted.
+    """
+    cell = object.__new__(OrientedCell)
+    _set_field(cell, "kind", kind)
+    _set_field(cell, "base", base)
+    _set_field(cell, "indices", indices)
+    _set_field(cell, "sign", sign)
+    _set_field(cell, "_hash", hash((kind, base, indices, sign)))
+    return cell
 
 
 def _offset(base: Point, directions: Iterable[int]) -> Point:
@@ -244,40 +288,86 @@ def vertices(cell: OrientedCell) -> frozenset[Point]:
 def has_vertex(cell: OrientedCell, point: Point) -> bool:
     # Offsets from the base are 0 or 1, nonzero only along the cell's indices,
     # and on the root lattice there are weight-many of them.
-    if len(point) != len(cell.base):
+    base = cell.base
+    if len(point) != len(base):
         return False
-    moved = [(d, p - b) for d, (p, b) in enumerate(zip(point, cell.base)) if p != b]
-    return all(o == 1 and d in cell.indices for d, o in moved) and (
-        cell.weight is None or len(moved) == cell.weight
-    )
+    indices = cell.indices
+    moved = 0
+    for d, p, b in zip(range(len(base)), point, base):
+        if p != b:
+            if p - b != 1 or d not in indices:
+                return False
+            moved += 1
+    weight = cell.weight
+    return weight is None or moved == weight
+
+
+def _coefficient(value: object) -> int:
+    """An exact integer coefficient: an int or a numpy integer, never a
+    bool, a float or text (which int() would truncate or parse)."""
+    if isinstance(value, bool):
+        raise ChainError(f"coefficient {value!r} is a bool, not an integer")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ChainError(f"coefficient {value!r} is not an integer") from None
+
+
+def _add_into(
+    acc: dict[OrientedCell, int],
+    terms: Iterable[tuple[OrientedCell, int]],
+    scale: int = 1,
+) -> None:
+    """Add scale times canonical terms (positive cell, nonzero int) into acc,
+    dropping what cancels; scale must be a nonzero int."""
+    for cell, coeff in terms:
+        new = acc.get(cell, 0) + coeff * scale
+        if new:
+            acc[cell] = new
+        else:
+            del acc[cell]
 
 
 class Chain:
     """Integer formal sum of oriented cells with exact cancellation.
 
     Keys are positively oriented canonical cells; a negatively oriented cell
-    contributes through the sign of its coefficient.  Chains never change
-    after construction, so the sorted terms and the non-empty restrictions
-    to vertices are kept once computed.
+    contributes through the sign of its coefficient.  `Chain(terms)`
+    validates and normalizes its terms (int or numpy integer coefficients
+    only, ChainError otherwise); chains derived from chains (sums, multiples,
+    boundaries, restrictions, paddings) are built straight from canonical
+    terms and trust them.  Chains never change after construction, so the
+    sorted terms, the non-empty restrictions to vertices and anything
+    `memo` is asked to keep are computed once per chain.
     """
 
-    __slots__ = ("_terms", "_sorted", "_stars")
+    __slots__ = ("_terms", "_sorted", "_stars", "_memo")
 
     def __init__(self, terms: Iterable[tuple[OrientedCell, int]] = ()) -> None:
         acc: dict[OrientedCell, int] = {}
-        for cell, coeff in terms:
-            coeff = int(coeff) * cell.sign
-            if coeff == 0:
-                continue
-            key = cell.positive()
-            new = acc.get(key, 0) + coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
+        _add_into(
+            acc,
+            (
+                (cell.positive(), coeff * cell.sign)
+                for cell, raw in terms
+                if (coeff := _coefficient(raw))
+            ),
+        )
         self._terms = acc
         self._sorted: list[tuple[OrientedCell, int]] | None = None
         self._stars: dict[Point, Chain] = {}
+        self._memo: dict[Hashable, object] = {}
+
+    @classmethod
+    def _wrap(cls, terms: dict[OrientedCell, int]) -> "Chain":
+        """A chain over a dict already keyed by positive cells with nonzero
+        int coefficients; the dict is taken over, not copied."""
+        chain = cls.__new__(cls)
+        chain._terms = terms
+        chain._sorted = None
+        chain._stars = {}
+        chain._memo = {}
+        return chain
 
     @classmethod
     def of(cls, *cells: OrientedCell) -> "Chain":
@@ -296,6 +386,18 @@ class Chain:
     def cells(self) -> list[OrientedCell]:
         return [cell for cell, _ in self.items()]
 
+    def memo(self, key: Hashable, build: Callable[[], T]) -> T:
+        """build() computed once per key and kept on this chain.
+
+        Every later caller gets the same object, so build() should return
+        something immutable.
+        """
+        try:
+            return self._memo[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -306,16 +408,23 @@ class Chain:
         return isinstance(other, Chain) and self._terms == other._terms
 
     def __add__(self, other: "Chain") -> "Chain":
-        return Chain(list(self._terms.items()) + list(other._terms.items()))
+        acc = dict(self._terms)
+        _add_into(acc, other._terms.items())
+        return Chain._wrap(acc)
 
     def __neg__(self) -> "Chain":
-        return Chain((cell, -c) for cell, c in self._terms.items())
+        return Chain._wrap({cell: -c for cell, c in self._terms.items()})
 
     def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-other)
+        acc = dict(self._terms)
+        _add_into(acc, other._terms.items(), -1)
+        return Chain._wrap(acc)
 
     def __mul__(self, scalar: int) -> "Chain":
-        return Chain((cell, c * scalar) for cell, c in self._terms.items())
+        scalar = _coefficient(scalar)
+        if not scalar:
+            return Chain()
+        return Chain._wrap({cell: c * scalar for cell, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -328,8 +437,8 @@ class Chain:
         point = tuple(point)
         star = self._stars.get(point)
         if star is None:
-            star = Chain(
-                (cell, c) for cell, c in self._terms.items() if has_vertex(cell, point)
+            star = Chain._wrap(
+                {cell: c for cell, c in self._terms.items() if has_vertex(cell, point)}
             )
             # Only vertices of the chain are kept, which bounds the memo.
             if star:
@@ -337,7 +446,8 @@ class Chain:
         return star
 
     def padded(self, extra: int) -> "Chain":
-        return Chain((cell.padded(extra), c) for cell, c in self._terms.items())
+        # Padding is injective and keeps signs, so no two keys merge.
+        return Chain._wrap({cell.padded(extra): c for cell, c in self._terms.items()})
 
 
 def _deletion_signs(count: int) -> list[int]:
@@ -351,8 +461,11 @@ def facets(cell: OrientedCell) -> Chain:
     if cell.dim == 2:
         raise CellError(f"facets of a 2-cell ({cell.kind.value}) are not supported")
     idx = cell.indices
+    base = cell.base
     signs = _deletion_signs(len(idx))
-    terms: list[tuple[OrientedCell, int]] = []
+    # Facets are distinct positive cells with coefficient +-1, so they go
+    # straight into the chain's dict.
+    terms: dict[OrientedCell, int] = {}
     if cell.family == "qan":
         w = cell.weight
         n = len(idx) - 1
@@ -362,28 +475,27 @@ def facets(cell: OrientedCell) -> Chain:
             rest = idx[:pos] + idx[pos + 1 :]
             s = signs[pos] * cell.sign
             if same_weight is not None:
-                terms.append((OrientedCell(same_weight, cell.base, rest), s))
+                terms[_derived_cell(same_weight, base, rest, 1)] = s
             if lower_weight is not None:
-                shifted = _offset(cell.base, (deleted,))
-                terms.append((OrientedCell(lower_weight, shifted, rest), s))
+                shifted = _offset(base, (deleted,))
+                terms[_derived_cell(lower_weight, shifted, rest, 1)] = s
     else:
         facet_kind = _CUBIC_BY_COUNT[len(idx) - 1]
         for pos, deleted in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
             s = signs[pos] * cell.sign
-            terms.append((OrientedCell(facet_kind, cell.base, rest), s))
-            shifted = _offset(cell.base, (deleted,))
-            terms.append((OrientedCell(facet_kind, shifted, rest), -s))
-    return Chain(terms)
+            terms[_derived_cell(facet_kind, base, rest, 1)] = s
+            shifted = _offset(base, (deleted,))
+            terms[_derived_cell(facet_kind, shifted, rest, 1)] = -s
+    return Chain._wrap(terms)
 
 
 def boundary(chain: Chain) -> Chain:
     """Linear extension of facets to chains."""
-    return Chain(
-        (facet, c * coeff)
-        for cell, coeff in chain._terms.items()
-        for facet, c in facets(cell)._terms.items()
-    )
+    acc: dict[OrientedCell, int] = {}
+    for cell, coeff in chain._terms.items():
+        _add_into(acc, facets(cell)._terms.items(), coeff)
+    return Chain._wrap(acc)
 
 
 def corner(cell4: OrientedCell, center: Point) -> Chain:
@@ -397,18 +509,18 @@ def corner(cell4: OrientedCell, center: Point) -> Chain:
 
 
 def _check_three_manifold_terms(chain: Chain) -> str:
-    families = set()
-    ambients = set()
-    for cell, coeff in chain.items():
+    terms = chain._terms
+    bad = [(cell, c) for cell, c in terms.items() if cell.dim != 3 or abs(c) != 1]
+    if bad:
+        # Name the first offending term in text order.
+        cell, coeff = min(bad, key=lambda kv: format_cell(kv[0]))
         if cell.dim != 3:
             raise ChainError(f"chain contains a non-3-cell {cell}")
-        if abs(coeff) != 1:
-            raise ChainError(f"coefficient {coeff} on {cell}: not a manifold chain")
-        families.add(cell.family)
-        ambients.add(len(cell.base))
+        raise ChainError(f"coefficient {coeff} on {cell}: not a manifold chain")
+    families = {cell.family for cell in terms}
     if len(families) > 1:
         raise ChainError("chain mixes root-lattice and cubic cells")
-    if len(ambients) > 1:
+    if len({len(cell.base) for cell in terms}) > 1:
         raise ChainError("mixed ambient sizes in one chain")
     return families.pop() if families else "qan"
 
@@ -424,11 +536,14 @@ def flower(manifold: Chain, vertex: Point) -> Chain:
     if not star:
         raise NotFlowerError(f"no 3-cell of the chain contains {vertex}")
     _check_three_manifold_terms(star)
-    for cell, coeff in boundary(star).items():
-        if coeff != 0 and has_vertex(cell, vertex):
-            raise NotInteriorError(
-                f"unmatched facet {cell} at {vertex} (coefficient {coeff})"
-            )
+    unmatched = [
+        (cell, c) for cell, c in boundary(star)._terms.items() if has_vertex(cell, vertex)
+    ]
+    if unmatched:
+        cell, coeff = min(unmatched, key=lambda kv: format_cell(kv[0]))
+        raise NotInteriorError(
+            f"unmatched facet {cell} at {vertex} (coefficient {coeff})"
+        )
     return star
 
 
@@ -489,13 +604,15 @@ def decompose_flower(
     if family == "cubic":
         padded_vertex = vertex + (0,)
         aux = len(vertex)
-        pairs = []
-        for cell, coeff in star.padded(1).items():
-            cube4 = OrientedCell(
-                CellKind.CUBE4, cell.base, cell.indices + (aux,), coeff
-            )
-            pairs.append((cube4, padded_vertex))
-        residual = _corner_sum(pairs) - star.padded(1)
+        padded = star.padded(1)
+        # Every index is below the new last coordinate, so the lifts stay
+        # sorted; coefficients are +-1 on a manifold chain.
+        pairs = [
+            (_derived_cell(CellKind.CUBE4, cell.base, cell.indices + (aux,), coeff),
+             padded_vertex)
+            for cell, coeff in padded.items()
+        ]
+        residual = _corner_sum(pairs) - padded
         if residual:
             raise DecompositionError(f"nonzero residual chain: {residual!r}")
         return pairs
@@ -504,17 +621,16 @@ def decompose_flower(
     aux_l = aux_m + 1
     padded_vertex = vertex + (0, 0)
     padded = star.padded(2)
-    pairs = []
     lift_kind = {
         CellKind.BLACK_TETRAHEDRON: CellKind.BLACK_SIMPLEX4,
         CellKind.OCTAHEDRON: CellKind.BLACK_AMBO4,
         CellKind.WHITE_TETRAHEDRON: CellKind.WHITE_AMBO4,
     }
-    for cell, coeff in padded.items():
-        lifted = OrientedCell(
-            lift_kind[cell.kind], cell.base, cell.indices + (aux_m,), coeff
-        )
-        pairs.append((lifted, padded_vertex))
+    pairs = [
+        (_derived_cell(lift_kind[cell.kind], cell.base, cell.indices + (aux_m,), coeff),
+         padded_vertex)
+        for cell, coeff in padded.items()
+    ]
     white_corner_sum = _corner_sum(
         pair for pair in pairs if pair[0].kind is CellKind.WHITE_AMBO4
     )
@@ -527,7 +643,7 @@ def decompose_flower(
             )
         base = list(cell.base)
         base[aux_l] -= 1
-        simplex = OrientedCell(
+        simplex = _derived_cell(
             CellKind.WHITE_SIMPLEX4, tuple(base), cell.indices + (aux_l,), -coeff
         )
         pairs.append((simplex, padded_vertex))
@@ -538,9 +654,10 @@ def decompose_flower(
 
 
 def _corner_sum(pairs: Iterable[tuple[OrientedCell, Point]]) -> Chain:
-    return Chain(
-        term for cell4, center in pairs for term in corner(cell4, center)._terms.items()
-    )
+    acc: dict[OrientedCell, int] = {}
+    for cell4, center in pairs:
+        _add_into(acc, corner(cell4, center)._terms.items())
+    return Chain._wrap(acc)
 
 
 def project_point(axis: int, point: Point) -> Point:

@@ -430,6 +430,37 @@ def _fd_action(
     return _central_difference(lambda f: action(f, local), field, vertex, step)
 
 
+@dataclass(frozen=True)
+class _CornerFrame:
+    """The field-independent half of an EL-sum case at one flower center."""
+
+    pairs: tuple[tuple[OrientedCell, Point], ...]  # decompose_flower's corners
+    pad: Point  # zeros appended to every point, one per auxiliary direction
+    padded_star: Chain
+    needed: frozenset[Point]  # every vertex of the corner 4-cells
+    supports: tuple[OrientedCell, ...]  # their relation supports
+
+
+def _corner_frame(manifold: Chain, vertex: Point) -> _CornerFrame:
+    """Flower, corners and padding at a vertex, built once per chain and kept
+    on it: the suite checks each flower under several fields."""
+
+    def build() -> _CornerFrame:
+        star = flower(manifold, vertex)
+        pairs = tuple(decompose_flower(star, vertex))
+        pad = (0,) * (2 if star.cells()[0].family == "qan" else 1)
+        needed: set[Point] = set()
+        supports: list[OrientedCell] = []
+        for cell4, _ in pairs:
+            needed.update(vertices(cell4))
+            supports.extend(_relation_supports(cell4))
+        return _CornerFrame(
+            pairs, pad, star.padded(len(pad)), frozenset(needed), tuple(supports)
+        )
+
+    return manifold.memo(("corner-frame", vertex), build)
+
+
 def check_euler_lagrange_sum(
     manifold: Chain,
     vertex: Point,
@@ -447,35 +478,26 @@ def check_euler_lagrange_sum(
     """
     cfg = cfg or SuiteConfig()
     vertex = tuple(vertex)
-    star = flower(manifold, vertex)
-    pairs = decompose_flower(star, vertex)
-    family = star.cells()[0].family
-    extra = 2 if family == "qan" else 1
-    padded_vertex = vertex + (0,) * extra
-    padded_field: Field = {p + (0,) * extra: float(v) for p, v in field.items()}
-    padded_star = star.padded(extra)
+    frame = _corner_frame(manifold, vertex)
+    padded_vertex = vertex + frame.pad
+    padded_field: Field = {p + frame.pad: float(v) for p, v in field.items()}
 
-    needed: set[Point] = set()
-    supports: list[OrientedCell] = []
-    for cell4, _ in pairs:
-        needed.update(vertices(cell4))
-        supports.extend(_relation_supports(cell4))
-    missing = sorted(needed - set(padded_field))
+    missing = sorted(frame.needed - set(padded_field))
     rng = np.random.default_rng(
         [cfg.seed, zlib.crc32(b"el-sum-extension"), extension_seed]
     )
     for _ in range(config.MAX_REDRAWS):
         trial_field = dict(padded_field)
         trial_field.update(_draw_field(rng, missing))
-        if nonsingularity_margin(trial_field, supports) >= _EXTENSION_MARGIN:
+        if nonsingularity_margin(trial_field, frame.supports) >= _EXTENSION_MARGIN:
             padded_field = trial_field
             break
     else:
         raise SingularFieldError("no nonsingular extension found for the corner sum")
 
-    lhs = _fd_action(padded_field, padded_star, padded_vertex)
+    lhs = _fd_action(padded_field, frame.padded_star, padded_vertex)
     rhs = 0.0
-    for cell4, center in pairs:
+    for cell4, center in frame.pairs:
         try:
             rhs += corner_residual(padded_field, cell4, center)
         except NoCornerEquationError:

@@ -308,3 +308,58 @@ def test_suite_matches_records_of_the_scalar_trial_loops(key):
         differenced = record.check_id.startswith(("gradient-", "el-sum"))
         tolerance = 1e-9 if differenced else 1e-12
         assert abs(record.observed - recorded["observed"]) <= tolerance, record.check_id
+
+
+@pytest.mark.parametrize("lattice, cases", [("qan", 9), ("cubic", 3)])
+def test_el_sum_decomposes_each_case_once(lattice, cases, monkeypatch):
+    import plurikp.verify as verify_module
+
+    calls = {"decompose": 0, "check": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # Cached facet chains carry their corner frames; start from fresh ones.
+    facets.cache_clear()
+    monkeypatch.setattr(
+        verify_module, "decompose_flower",
+        counting("decompose", verify_module.decompose_flower),
+    )
+    monkeypatch.setattr(
+        verify_module, "check_euler_lagrange_sum",
+        counting("check", verify_module.check_euler_lagrange_sum),
+    )
+    verify_module._check_el_sum(SuiteConfig(lattice=lattice, dim=4, trials=8, seed=3))
+    assert calls == {"decompose": cases, "check": 8 * cases}
+
+
+@pytest.mark.parametrize("lattice", ["qan", "cubic"])
+def test_el_sum_alone_matches_the_suite_bit_for_bit(lattice, monkeypatch):
+    import plurikp.verify as verify_module
+    from plurikp.cells import Chain
+
+    seen = []
+    public = verify_module.check_euler_lagrange_sum
+
+    def recording(manifold, vertex, field, cfg, extension_seed):
+        record = public(manifold, vertex, field, cfg, extension_seed=extension_seed)
+        seen.append((manifold, vertex, dict(field), cfg, extension_seed, record))
+        return record
+
+    monkeypatch.setattr(verify_module, "check_euler_lagrange_sum", recording)
+    cfg = SuiteConfig(lattice=lattice, dim=4, trials=8, seed=2024)
+    records = {r.check_id: r for r in verify_module._check_el_sum(cfg)}
+    assert len(seen) == 8 * (9 if lattice == "qan" else 3)
+    by_manifold: dict[int, list[float]] = {}
+    for manifold, vertex, field, cfg_, seed, inside in seen:
+        # A copy of the manifold has no corner frame yet: the work is redone.
+        alone = public(Chain(manifold.items()), vertex, field, cfg_, extension_seed=seed)
+        assert alone.observed.hex() == inside.observed.hex()
+        by_manifold.setdefault(id(manifold), []).append(inside.observed)
+    # One manifold per check id: a 4-cell boundary (two centers) or the star.
+    assert sorted(r.observed for r in records.values()) == sorted(
+        max(values) for values in by_manifold.values()
+    )
