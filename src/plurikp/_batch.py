@@ -12,6 +12,13 @@ module's) can move the last bits of the 3-form, of the corner residuals and
 of the finite differences.  The scalar functions stay the reference, and the
 errors keep their types: a singular value in any trial raises
 SingularFieldError, as the scalar loop would on that trial.
+
+The samplers draw from _streams.Streams, one stream per trial, and reject
+in rounds: each round reads the next k candidates of every pending trial
+(k doubles from 1 each round), tests them all at once and keeps each trial's
+first accepted one.  The trial's stream then moves to just after that
+candidate, so its value and the draws that follow it are those of a
+one-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import config
+from ._streams import Streams
 from .cells import CellKind, OrientedCell, Point, facets, vertices
 from .dilog import skew_dilog_array
 from .dkp import (
@@ -324,36 +332,58 @@ def fd_actions(tab: Tables, x: np.ndarray) -> np.ndarray:
 
 
 def _sample(
-    rngs: Sequence[np.random.Generator],
-    draw: Callable[[np.random.Generator], np.ndarray],
+    streams: Streams,
+    draws: int,
+    make: Callable[[np.ndarray], np.ndarray],
     accept: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     width: int,
     failure: str,
 ) -> np.ndarray:
-    """Draw for every pending trial from its own generator, keep the accepted
-    candidates, and redraw only the rejected trials, up to MAX_REDRAWS."""
-    out = np.full((len(rngs), width), np.nan)
-    pending = np.arange(len(rngs))
-    for _ in range(config.MAX_REDRAWS):
-        candidates, ok = accept(np.array([draw(rngs[t]) for t in pending]))
-        out[pending[ok]] = candidates[ok]
-        pending = pending[~ok]
-        if not pending.size:
-            return out
-    raise SingularFieldError(failure)
+    """Rejection sampling over every trial's stream, drawing ahead.
+
+    A candidate takes `draws` random() values of its trial's stream, which
+    `make` turns into a row.  Each round offers every pending trial its next
+    k candidates (k = 1, 2, 4, ...), evaluates `accept` on all of them at
+    once, keeps each trial's first accepted candidate and commits its stream
+    to just after that candidate, so the trial keeps the value and the stream
+    position of a one-at-a-time loop.  A round holds at most TRIAL_CHUNK
+    candidate rows (one per pending trial at least), and no trial is offered
+    more than MAX_REDRAWS candidates.
+    """
+    out = np.full((len(streams), width), np.nan)
+    pending = np.arange(len(streams))
+    offered, ahead = 0, 1
+    while pending.size:
+        if offered >= config.MAX_REDRAWS:
+            raise SingularFieldError(
+                f"{failure}: check {streams.check_id!r}, trial"
+                f" {int(streams.trials[pending].min())}, after {offered} draws"
+            )
+        k = max(1, min(ahead, config.TRIAL_CHUNK // pending.size))
+        k = min(k, config.MAX_REDRAWS - offered)
+        u = streams.peek(pending, k * draws)
+        candidates, ok = accept(make(u.reshape(pending.size * k, draws)))
+        ok = ok.reshape(pending.size, k)
+        hit = ok.any(axis=1)
+        first = ok.argmax(axis=1)
+        kept = np.flatnonzero(hit)
+        rows = candidates.reshape(pending.size, k, width)
+        out[pending[kept]] = rows[kept, first[kept]]
+        streams.skip(pending, np.where(hit, first + 1, k) * draws)
+        pending = pending[~hit]
+        offered += k
+        ahead *= 2
+    return out
 
 
-def _signed_draws(rng: np.random.Generator, n: int) -> np.ndarray:
-    # n draws of the scalar sampler: a magnitude uniform in [0.5, 2] and then
-    # a fair sign, from one stream.
-    u = rng.random(2 * n)
-    magnitude = 0.5 + 1.5 * u[0::2]
-    return np.where(u[1::2] < 0.5, magnitude, -magnitude)
+def _signed_values(u: np.ndarray) -> np.ndarray:
+    # The scalar sampler's values from consecutive pairs of draws: a magnitude
+    # uniform in [0.5, 2] and then a fair sign.
+    magnitude = 0.5 + 1.5 * u[:, 0::2]
+    return np.where(u[:, 1::2] < 0.5, magnitude, -magnitude)
 
 
-def plain_fields(
-    tab: Tables, rngs: Sequence[np.random.Generator], margin: float
-) -> np.ndarray:
+def plain_fields(tab: Tables, streams: Streams, margin: float) -> np.ndarray:
     """The fields _random_plain_field draws on the cell's vertices."""
     n = len(tab.points)
 
@@ -361,14 +391,14 @@ def plain_fields(
         return x, margins(tab, x) >= margin
 
     return _sample(
-        rngs, lambda rng: _signed_draws(rng, n), accept, n,
+        streams, 2 * n, _signed_values, accept, n,
         "could not draw a field with the requested margin",
     )
 
 
 def solutions(
     tab: Tables,
-    rngs: Sequence[np.random.Generator],
+    streams: Streams,
     margin: float,
     component: str,
 ) -> np.ndarray:
@@ -377,10 +407,10 @@ def solutions(
     n = len(tab.required)
     golden = component == "golden"
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
+    def make(u: np.ndarray) -> np.ndarray:
         if golden:
-            return tab.golden_signs * rng.uniform(0.5, 2.0, size=n)
-        return _signed_draws(rng, n)
+            return tab.golden_signs * (0.5 + 1.5 * u)
+        return _signed_values(u)
 
     def accept(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.full((len(data), len(tab.points)), np.nan)
@@ -395,6 +425,6 @@ def solutions(
         return x, ok
 
     return _sample(
-        rngs, draw, accept, len(tab.points),
+        streams, n if golden else 2 * n, make, accept, len(tab.points),
         "could not draw a nonsingular solution",
     )

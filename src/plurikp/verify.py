@@ -3,17 +3,22 @@ Euler-Lagrange decomposition, combinatorial exactness, and seeded suites.
 
 Every check produces CheckRecord rows with a single scalar comparison
 (pass iff |observed - expected| <= tolerance), so reports stay diffable.
-Randomized checks derive one PCG64 generator per (seed, check, trial), which
-makes suites bit-reproducible and independent of the order of trials.
+Randomized checks draw trial t of a check from the PCG64 stream of
+np.random.default_rng([seed, crc32(check id), t]) (_rng, the one seeding
+recipe), which makes suites bit-reproducible and independent of the order
+of trials.
 
 The randomized trial loops (corner and closure trials, gradients, negative
 control) run as batched kernels from _batch, over chunks of up to
 config.TRIAL_CHUNK trials so that memory does not grow with the trial count.
-Each trial keeps its own generator and only rejected trials redraw, so every
-trial draws the same field as the scalar samplers _random_solution and
-_random_plain_field.  The scalar functions remain the reference: they serve
-solve, the golden, el-sum and rank-probe checks, and the kernels are tested
-against them.
+A chunk's streams are _streams.Streams: the generators of _rng as uint64
+rows, drawn for every pending trial in one array operation.  Rejection
+sampling reads several candidates ahead per trial and then moves each stream
+to just after the candidate it keeps, so every trial draws the same field as
+the scalar samplers _random_solution and _random_plain_field and leaves its
+stream where they would.  The scalar functions remain the reference: they
+serve solve, the golden, el-sum and rank-probe checks, and the kernels are
+tested against them.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import zlib
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Iterator, Mapping
@@ -28,6 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from . import _batch, config
+from ._streams import Streams
 from .cells import (
     Chain,
     CellKind,
@@ -146,6 +153,17 @@ class BranchReport:
     max_dkp_minus_relative: float
 
 
+def _integer_setting(name: str, value: object) -> int:
+    """An int or numpy integer, exactly: floats, text and bools (which int()
+    would truncate, parse or read as 0 and 1) raise ConfigError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     lattice: str = "qan"
@@ -157,8 +175,11 @@ class SuiteConfig:
     def validate(self) -> None:
         if self.lattice not in ("qan", "cubic"):
             raise ConfigError(f"lattice must be 'qan' or 'cubic', got {self.lattice!r}")
+        dim, trials, seed = (
+            _integer_setting(name, getattr(self, name))
+            for name in ("dim", "trials", "seed")
+        )
         try:
-            dim, trials, seed = int(self.dim), int(self.trials), int(self.seed)
             overrides = {name: float(v) for name, v in dict(self.tolerances).items()}
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"non-numeric suite setting: {exc}") from exc
@@ -483,9 +504,7 @@ def check_euler_lagrange_sum(
     padded_field: Field = {p + frame.pad: float(v) for p, v in field.items()}
 
     missing = sorted(frame.needed - set(padded_field))
-    rng = np.random.default_rng(
-        [cfg.seed, zlib.crc32(b"el-sum-extension"), extension_seed]
-    )
+    rng = _rng(cfg, "el-sum-extension", extension_seed)
     for _ in range(config.MAX_REDRAWS):
         trial_field = dict(padded_field)
         trial_field.update(_draw_field(rng, missing))
@@ -641,33 +660,30 @@ def _closure_value_set(cell: OrientedCell) -> tuple[float, ...]:
     return (-PI2_4, PI2_4)
 
 
-def _trial_chunks(
-    cfg: SuiteConfig, check_id: str
-) -> Iterator[list[np.random.Generator]]:
-    """The trials' generators in consecutive chunks of at most TRIAL_CHUNK."""
+def _trial_chunks(cfg: SuiteConfig, check_id: str) -> Iterator[Streams]:
+    """The trials' streams (those of _rng) in consecutive chunks of at most
+    TRIAL_CHUNK."""
     for start in range(0, cfg.trials, config.TRIAL_CHUNK):
         stop = min(start + config.TRIAL_CHUNK, cfg.trials)
-        yield [_rng(cfg, check_id, t) for t in range(start, stop)]
+        yield Streams(cfg.seed, check_id, range(start, stop))
 
 
-def _solution_trials(
-    cell: OrientedCell, rngs: list[np.random.Generator]
-) -> np.ndarray:
+def _solution_trials(cell: OrientedCell, streams: Streams) -> np.ndarray:
     """Per trial: the six worst deviations of the random-solution checks, in
     record order, and the number of mislabeled branches."""
     tab = _batch.tables(cell)
     # Reference-component solutions: closure must hit the golden constant,
     # and their inverses the inverse one.
-    solution = _batch.solutions(tab, rngs, _SOLUTION_MARGIN, "golden")
+    solution = _batch.solutions(tab, streams, _SOLUTION_MARGIN, "golden")
     report = _batch.classify(tab, solution)
     s_value = _batch.exterior_derivative(tab, solution)
     inverse = 1.0 / solution
     inverse_report = _batch.classify(tab, inverse)
     s_inverse = _batch.exterior_derivative(tab, inverse)
-    # Unrestricted-component solutions, drawn next from the same generators:
+    # Unrestricted-component solutions, drawn next from the same streams:
     # corner units still hold, the closure value must land in the finite
     # component value set.
-    free = _batch.solutions(tab, rngs, _SOLUTION_MARGIN, "any")
+    free = _batch.solutions(tab, streams, _SOLUTION_MARGIN, "any")
     free_report = _batch.classify(tab, free)
     s_free = _batch.exterior_derivative(tab, free)
     value_set = np.array(_closure_value_set(cell))
@@ -701,8 +717,8 @@ def _check_random_solutions(cfg: SuiteConfig) -> list[CheckRecord]:
     for cell, tag in cells:
         rows = np.concatenate(
             [
-                _solution_trials(cell, rngs)
-                for rngs in _trial_chunks(cfg, f"corner-{tag}")
+                _solution_trials(cell, streams)
+                for streams in _trial_chunks(cfg, f"corner-{tag}")
             ]
         )
         worst = rows.max(axis=0)
@@ -732,8 +748,8 @@ def _gradient_gap(cfg: SuiteConfig, cell: OrientedCell, check_id: str) -> float:
         return 0.0
     tab = _batch.tables(cell)
     worst = 0.0
-    for rngs in _trial_chunks(cfg, check_id):
-        field = _batch.plain_fields(tab, rngs, config.FD_MARGIN)
+    for streams in _trial_chunks(cfg, check_id):
+        field = _batch.plain_fields(tab, streams, config.FD_MARGIN)
         gaps = np.abs(
             _batch.corner_residuals(tab, field) - _batch.fd_actions(tab, field)
         )
@@ -776,7 +792,7 @@ def _check_boundary_squared(cfg: SuiteConfig) -> list[CheckRecord]:
             ambient = ambient_dim
             kinds = [CellKind.CUBE4]
             n_idx = 4
-        rng = np.random.default_rng([cfg.seed, zlib.crc32(b"ddzero"), ambient_dim])
+        rng = _rng(cfg, "ddzero", ambient_dim)
         for kind in kinds:
             for indices in itertools.combinations(range(ambient), n_idx):
                 base = tuple(int(rng.integers(-3, 4)) for _ in range(ambient))
@@ -930,8 +946,8 @@ def _check_negative_control(cfg: SuiteConfig) -> list[CheckRecord]:
         cell = _cube_cell(cfg)
     tab = _batch.tables(cell)
     failures = 0
-    for rngs in _trial_chunks(cfg, "negative-control"):
-        field = _batch.plain_fields(tab, rngs, config.DRAW_FLOOR)
+    for streams in _trial_chunks(cfg, "negative-control"):
+        field = _batch.plain_fields(tab, streams, config.DRAW_FLOOR)
         # A gray-zone trial counts as a failure to reject, like a branch label.
         report = _batch.classify(tab, field, allow_gray=True)
         failures += int(np.sum(report.branch != _batch.NEITHER))
@@ -969,8 +985,8 @@ _CHECKS: tuple[tuple[str, int, Callable[[SuiteConfig], list[CheckRecord]]], ...]
 def run_suite(cfg: SuiteConfig) -> SuiteResult:
     """Run every registered check matching the configured lattice.
 
-    Deterministic for a fixed config: each randomized trial seeds its own
-    generator from (seed, check id, trial index).
+    Deterministic for a fixed config: each randomized trial draws from its
+    own stream, seeded from (seed, check id, trial index).
     """
     cfg.validate()
     records: list[CheckRecord] = []

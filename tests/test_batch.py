@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plurikp import _batch, config
+from plurikp._streams import Streams
 from plurikp.cells import CellKind, OrientedCell, facets, vertices
 from plurikp.dkp import (
     Branch,
@@ -20,11 +21,13 @@ from plurikp.dkp import (
 from plurikp.errors import InconclusiveBranchError, SingularFieldError
 from plurikp.lagrangian import corner_residual, exterior_derivative
 from plurikp.verify import (
+    SuiteConfig,
     _fd_action,
     _nonzero_draws,
     _random_plain_field,
     _random_solution,
     _relation_supports,
+    _rng,
     classify_branch,
     corner_vertices,
 )
@@ -52,8 +55,14 @@ _CODES = {
 }
 
 
+def _streams(seed, count=TRIALS):
+    return Streams(seed, "batch-test", range(count))
+
+
 def _rngs(seed, count=TRIALS):
-    return [np.random.default_rng([seed, t]) for t in range(count)]
+    """The scalar generators that _streams(seed, count) reproduces."""
+    cfg = SuiteConfig(seed=seed)
+    return [_rng(cfg, "batch-test", t) for t in range(count)]
 
 
 def _as_field(tab, row):
@@ -63,10 +72,10 @@ def _as_field(tab, row):
 def _samples(cell):
     """Seeded golden and free solutions, their inverses and plain fields."""
     tab = _batch.tables(cell)
-    golden = _batch.solutions(tab, _rngs(1), 1e-5, "golden")
-    free = _batch.solutions(tab, _rngs(2), 1e-5, "any")
-    plain = _batch.plain_fields(tab, _rngs(3), config.FD_MARGIN)
-    loose = _batch.plain_fields(tab, _rngs(4), config.DRAW_FLOOR)
+    golden = _batch.solutions(tab, _streams(1), 1e-5, "golden")
+    free = _batch.solutions(tab, _streams(2), 1e-5, "any")
+    plain = _batch.plain_fields(tab, _streams(3), config.FD_MARGIN)
+    loose = _batch.plain_fields(tab, _streams(4), config.DRAW_FLOOR)
     return tab, [golden, 1.0 / golden, free, plain, loose]
 
 
@@ -91,14 +100,18 @@ def test_draws_match_scalar_samplers_bit_for_bit(cell):
 def test_golden_then_free_draws_share_each_trial_generator():
     cell = _CELLS[0]
     tab = _batch.tables(cell)
-    rngs = _rngs(5)
-    golden = _batch.solutions(tab, rngs, 1e-5, "golden")
-    free = _batch.solutions(tab, rngs, 1e-5, "any")
+    streams = _streams(5)
+    golden = _batch.solutions(tab, streams, 1e-5, "golden")
+    free = _batch.solutions(tab, streams, 1e-5, "any")
+    rows = np.arange(TRIALS)
+    after = streams.peek(rows, 3)
     for t, rng in enumerate(_rngs(5)):
         assert _as_field(tab, golden[t]) == _random_solution(
             rng, cell, component="golden"
         )
         assert _as_field(tab, free[t]) == _random_solution(rng, cell, component="any")
+        # Each stream stands where the scalar generator stands.
+        assert after[t].tolist() == rng.random(3).tolist()
 
 
 @pytest.mark.parametrize("solver_rel", [config.TOLERANCES["solver_rel"], 1e-16])
@@ -230,15 +243,105 @@ def test_gray_zone_raises_unless_allowed(black_ambo, rng):
 def test_exhausted_redraws_raise_singular_field_error(black_ambo, monkeypatch):
     monkeypatch.setattr(config, "MAX_REDRAWS", 4)
     tab = _batch.tables(black_ambo)
-    with pytest.raises(SingularFieldError):
-        _batch.plain_fields(tab, _rngs(7, 3), 1.0)
-    with pytest.raises(SingularFieldError):
-        _batch.solutions(tab, _rngs(7, 3), 1.0, "any")
+    streams = Streams(7, "corner-x", [5, 9, 3])
+    with pytest.raises(
+        SingularFieldError, match=r"check 'corner-x', trial 3, after 4 draws"
+    ):
+        _batch.plain_fields(tab, streams, 1.0)
+    with pytest.raises(
+        SingularFieldError,
+        match=r"nonsingular solution: check 'corner-x', trial 3, after 4 draws",
+    ):
+        _batch.solutions(tab, streams, 1.0, "any")
     with pytest.raises(SingularFieldError):
         _random_plain_field(
             np.random.default_rng(7), vertices(black_ambo),
             system_on_4cell(black_ambo), 1.0,
         )
+
+
+def _one_at_a_time(rng, draws, make, accept, limit):
+    """The scalar rejection loop: one candidate per draw, up to `limit`."""
+    for _ in range(limit):
+        row, ok = accept(make(rng.random((1, draws))))
+        if ok[0]:
+            return row[0]
+    raise SingularFieldError("exhausted")
+
+
+def _scripted_accept(threshold):
+    # Accepts a candidate whose first draw lies below the threshold.
+    return lambda x: (x, x[:, 0] < threshold)
+
+
+@pytest.mark.parametrize("threshold", [0.05, 0.4, 1.8])
+def test_draw_ahead_keeps_values_and_stream_positions(threshold):
+    count, draws = 64, 3
+    streams = _streams(8, count)
+    make = lambda u: 2.0 * u  # noqa: E731
+    accept = _scripted_accept(threshold)
+    out = _batch._sample(streams, draws, make, accept, draws, "failed")
+    # A second sampler continues each stream where the first one left it.
+    again = _batch._sample(streams, draws, make, accept, draws, "failed")
+    for t, rng in enumerate(_rngs(8, count)):
+        first = _one_at_a_time(rng, draws, make, accept, config.MAX_REDRAWS)
+        second = _one_at_a_time(rng, draws, make, accept, config.MAX_REDRAWS)
+        assert out[t].tolist() == first.tolist()
+        assert again[t].tolist() == second.tolist()
+    assert streams.peek(np.arange(count), 2).tolist() == [
+        rng.random(2).tolist() for rng in _rngs_after(8, count, draws, accept, make)
+    ]
+
+
+def _rngs_after(seed, count, draws, accept, make):
+    # The scalar generators after two one-at-a-time samplers.
+    rngs = _rngs(seed, count)
+    for rng in rngs:
+        for _ in range(2):
+            _one_at_a_time(rng, draws, make, accept, config.MAX_REDRAWS)
+    return rngs
+
+
+@pytest.mark.parametrize("limit", [1, 5, 12])
+def test_draw_ahead_raises_where_the_one_at_a_time_loop_does(limit, monkeypatch):
+    monkeypatch.setattr(config, "MAX_REDRAWS", limit)
+    count, make, accept = 40, (lambda u: u), _scripted_accept(0.05)
+    exhausted = []
+    for t, rng in enumerate(_rngs(9, count)):
+        try:
+            _one_at_a_time(rng, 2, make, accept, limit)
+        except SingularFieldError:
+            exhausted.append(t)
+    assert exhausted
+    streams = Streams(9, "batch-test", range(count))
+    with pytest.raises(
+        SingularFieldError, match=rf"trial {exhausted[0]}, after {limit} draws"
+    ):
+        _batch._sample(streams, 2, make, accept, 2, "failed")
+    # Every trial that survives the scalar loop also survives in the batch.
+    keep = [t for t in range(count) if t not in exhausted]
+    out = _batch._sample(
+        Streams(9, "batch-test", keep), 2, make, accept, 2, "failed"
+    )
+    rngs = _rngs(9, count)
+    for row, t in zip(out, keep):
+        assert row.tolist() == _one_at_a_time(rngs[t], 2, make, accept, limit).tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50])
+def test_no_round_evaluates_more_than_trial_chunk_rows(chunk, monkeypatch):
+    monkeypatch.setattr(config, "TRIAL_CHUNK", chunk)
+    sizes = []
+
+    def accept(x):
+        sizes.append(len(x))
+        return x, x[:, 0] < 0.1
+
+    count = max(1, chunk // 3)
+    _batch._sample(_streams(10, count), 2, lambda u: u, accept, 2, "failed")
+    assert sizes and max(sizes) <= chunk
+    # Drawing ahead used the room it had once few trials were left.
+    assert chunk == 1 or max(sizes) > count
 
 
 class _ScriptedUniform:

@@ -1,5 +1,6 @@
 """Branch classification, closure records, corner-sum checks, and suites."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -167,11 +168,21 @@ def test_suite_runs_trials_in_chunks_with_unchanged_records(lattice, monkeypatch
 
         return wrapped
 
+    rows = []
+
+    def counting(tab, x):
+        rows.append(len(x))
+        return margins(tab, x)
+
+    margins = _batch.margins
     monkeypatch.setattr(config, "TRIAL_CHUNK", 5)
     monkeypatch.setattr(_batch, "solutions", spying(_batch.solutions))
     monkeypatch.setattr(_batch, "plain_fields", spying(_batch.plain_fields))
+    # Every sampler round ends in margins on all of its candidate rows.
+    monkeypatch.setattr(_batch, "margins", counting)
     assert run_suite(cfg).records == whole
     assert sizes and set(sizes) == {5, 2}
+    assert rows and max(rows) <= 5
 
 
 def test_suite_cubic_small():
@@ -230,6 +241,39 @@ def test_config_validation():
         run_suite(SuiteConfig(dim="four"))
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(tolerances=None))
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"seed": 7.5},
+        {"seed": 7.0},
+        {"seed": True},
+        {"seed": np.bool_(True)},
+        {"seed": "7"},
+        {"trials": 2.5},
+        {"trials": "3"},
+        {"trials": False},
+        {"dim": 4.0},
+        {"dim": np.float64(4.0)},
+    ],
+    ids=repr,
+)
+def test_config_validation_refuses_inexact_integers(setting):
+    # Each of these used to pass validation and then crash mid-suite with a
+    # bare TypeError, or run as a different setting (True as seed 1).
+    cfg = SuiteConfig(lattice="qan", dim=4, trials=2, seed=3)
+    bad = dataclasses.replace(cfg, **setting)
+    with pytest.raises(ConfigError, match=next(iter(setting))):
+        bad.validate()
+
+
+def test_config_validation_accepts_numpy_integers():
+    plain = run_suite(SuiteConfig(lattice="cubic", dim=4, trials=3, seed=2**40 + 1))
+    wide = SuiteConfig(
+        lattice="cubic", dim=np.int8(4), trials=np.uint16(3), seed=np.uint64(2**40 + 1)
+    )
+    assert run_suite(wide).records == plain.records
 
 
 def test_record_invariant():
