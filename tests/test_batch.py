@@ -283,23 +283,13 @@ def test_draw_ahead_keeps_values_and_stream_positions(threshold):
     out = _batch._sample(streams, draws, make, accept, draws, "failed")
     # A second sampler continues each stream where the first one left it.
     again = _batch._sample(streams, draws, make, accept, draws, "failed")
+    after = streams.peek(np.arange(count), 2)
     for t, rng in enumerate(_rngs(8, count)):
         first = _one_at_a_time(rng, draws, make, accept, config.MAX_REDRAWS)
         second = _one_at_a_time(rng, draws, make, accept, config.MAX_REDRAWS)
         assert out[t].tolist() == first.tolist()
         assert again[t].tolist() == second.tolist()
-    assert streams.peek(np.arange(count), 2).tolist() == [
-        rng.random(2).tolist() for rng in _rngs_after(8, count, draws, accept, make)
-    ]
-
-
-def _rngs_after(seed, count, draws, accept, make):
-    # The scalar generators after two one-at-a-time samplers.
-    rngs = _rngs(seed, count)
-    for rng in rngs:
-        for _ in range(2):
-            _one_at_a_time(rng, draws, make, accept, config.MAX_REDRAWS)
-    return rngs
+        assert after[t].tolist() == rng.random(2).tolist()
 
 
 @pytest.mark.parametrize("limit", [1, 5, 12])
@@ -313,7 +303,7 @@ def test_draw_ahead_raises_where_the_one_at_a_time_loop_does(limit, monkeypatch)
         except SingularFieldError:
             exhausted.append(t)
     assert exhausted
-    streams = Streams(9, "batch-test", range(count))
+    streams = _streams(9, count)
     with pytest.raises(
         SingularFieldError, match=rf"trial {exhausted[0]}, after {limit} draws"
     ):
