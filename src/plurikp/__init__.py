@@ -29,7 +29,6 @@ from .cells import (
 from .dilog import GOLDEN_A, dilog, re_dilog, skew_dilog
 from .dkp import (
     Branch,
-    dkp_minus_residual,
     dkp_residual,
     golden_cube_field,
     golden_field,
@@ -37,7 +36,6 @@ from .dkp import (
     read_field_file,
     solve_ambo_ivp,
     solve_cube_ivp,
-    solve_octahedron,
     system_on_4cell,
     write_field_file,
 )
@@ -54,7 +52,6 @@ from .verify import (
     CheckRecord,
     SuiteConfig,
     SuiteResult,
-    check_closure,
     check_euler_lagrange_sum,
     classify_branch,
     run_suite,
@@ -75,7 +72,6 @@ __all__ = [
     "SuiteResult",
     "action",
     "boundary",
-    "check_closure",
     "check_euler_lagrange_sum",
     "classify_branch",
     "corner",
@@ -84,7 +80,6 @@ __all__ = [
     "cubic_point_flower",
     "decompose_flower",
     "dilog",
-    "dkp_minus_residual",
     "dkp_residual",
     "exterior_derivative",
     "facets",
@@ -105,7 +100,6 @@ __all__ = [
     "skew_dilog",
     "solve_ambo_ivp",
     "solve_cube_ivp",
-    "solve_octahedron",
     "system_on_4cell",
     "three_form",
     "vertices",

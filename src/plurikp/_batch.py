@@ -35,10 +35,9 @@ from .cells import CellKind, OrientedCell, Point, facets, vertices
 from .dilog import skew_dilog_array
 from .dkp import (
     _completion_steps,
-    ambo_ivp_points,
-    cube_ivp_points,
     golden_sign_pattern,
     golden_solution,
+    ivp_points,
     six_points,
     system_on_4cell,
 )
@@ -118,10 +117,7 @@ def tables(cell: OrientedCell) -> Tables:
         )
         for v in corners
     )
-    if cell.kind is CellKind.CUBE4:
-        required, _ = cube_ivp_points(cell)
-    else:
-        required, _ = ambo_ivp_points(cell)
+    required, _ = ivp_points(cell)
     steps = _completion_steps(cell, required)
     reference = golden_solution(cell)
     return Tables(

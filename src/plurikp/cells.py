@@ -43,7 +43,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
 
 from . import config
 from .errors import (
@@ -61,6 +61,8 @@ T = TypeVar("T")
 __all__ = [
     "CellKind",
     "Chain",
+    "LATTICES",
+    "Lattice",
     "OrientedCell",
     "Point",
     "boundary",
@@ -99,6 +101,11 @@ class CellKind(Enum):
     # hash and every per-kind table lookup.
     __hash__ = object.__hash__
 
+    @property
+    def family(self) -> str:
+        """The lattice family of the kind, a key of LATTICES."""
+        return _INFO[self][0]
+
 
 # kind -> (family, cell dimension, index count, vertex weight or None)
 _INFO: dict[CellKind, tuple[str, int, int, int | None]] = {
@@ -120,7 +127,7 @@ _INFO: dict[CellKind, tuple[str, int, int, int | None]] = {
 _QAN_BY_WEIGHT_COUNT = {
     (info[3], info[2]): kind
     for kind, info in _INFO.items()
-    if info[0] == "qan"
+    if kind.family == "qan"
 }
 
 _CUBIC_BY_COUNT = {2: CellKind.SQUARE, 3: CellKind.CUBE3, 4: CellKind.CUBE4}
@@ -136,10 +143,44 @@ FOUR_CELL_KINDS = (
 )
 
 
-def _max_ambient(family: str) -> int:
-    # Headroom past MAX_DIM covers the auxiliary directions that corner
-    # decompositions append (two on the root lattice, one on the cubic).
-    return config.MAX_DIM + (3 if family == "qan" else 1)
+class Lattice(NamedTuple):
+    """The geometry of one lattice family, decided here and nowhere else.
+
+    At dimension N a point has N + extra coordinates (the root lattice
+    Q(A_N) sits in Z^(N+1)), and a corner decomposition appends aux more.
+    Standard cells sit at the origin on directions 0, 1, ...; the standard
+    flower is the full point star of the sub-lattice on the first
+    flower_dirs directions, so above dimension 4 only the ambient grows.
+    """
+
+    name: str
+    extra: int
+    aux: int
+    four_cells: tuple[CellKind, ...]  # in FOUR_CELL_KINDS order
+    # (first, second, step, sign): 4-cells that share a facet when the second,
+    # with that sign, sits step along the first's last direction.
+    glued: tuple[tuple[CellKind, CellKind, int, int], ...]
+    flower_dirs: int
+    point_flower: Callable[[Point, Iterable[int]], "Chain"]
+
+    def ambient(self, dim: int) -> int:
+        return dim + self.extra
+
+    @property
+    def max_ambient(self) -> int:
+        # Headroom past MAX_DIM for the auxiliary directions.
+        return self.ambient(config.MAX_DIM) + self.aux
+
+    def cell(self, kind: CellKind, dim: int) -> "OrientedCell":
+        """The standard cell of a kind of this family at dimension dim."""
+        if kind.family != self.name:
+            raise CellError(f"{kind.value} is not a {self.name} cell")
+        return OrientedCell(kind, (0,) * self.ambient(dim), tuple(range(_INFO[kind][2])))
+
+    def star(self, dim: int) -> tuple["Chain", Point]:
+        """The standard flower at dimension dim and its center, the origin."""
+        center = (0,) * self.ambient(dim)
+        return self.point_flower(center, range(self.flower_dirs)), center
 
 
 def _sort_with_parity(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:
@@ -181,8 +222,7 @@ class OrientedCell:
         if len(set(sorted_idx)) != n_idx:
             raise CellError(f"repeated index in {sorted_idx}")
         ambient = len(base)
-        min_ambient = 4 if family == "qan" else 3
-        max_ambient = _max_ambient(family)
+        min_ambient, max_ambient = _AMBIENT_BOUNDS[family]
         if ambient < min_ambient or ambient > max_ambient:
             raise CellError(
                 f"ambient size {ambient} outside [{min_ambient}, {max_ambient}]"
@@ -233,7 +273,7 @@ class OrientedCell:
 
     def padded(self, extra: int) -> "OrientedCell":
         base = self.base + (0,) * extra
-        if len(base) > _max_ambient(self.family):
+        if len(base) > _AMBIENT_BOUNDS[self.family][1]:
             # Past the headroom: let the constructor raise CellError.
             return OrientedCell(self.kind, base, self.indices, self.sign)
         return _derived_cell(self.kind, base, self.indices, self.sign)
@@ -585,6 +625,31 @@ def cubic_point_flower(center: Point, directions: Iterable[int]) -> Chain:
     return Chain(terms)
 
 
+LATTICES = {
+    "qan": Lattice(
+        "qan", extra=1, aux=2, four_cells=FOUR_CELL_KINDS[:4],
+        glued=(
+            (CellKind.BLACK_SIMPLEX4, CellKind.BLACK_AMBO4, -1, -1),
+            (CellKind.BLACK_AMBO4, CellKind.WHITE_AMBO4, -1, -1),
+            (CellKind.WHITE_AMBO4, CellKind.WHITE_SIMPLEX4, -1, -1),
+        ),
+        flower_dirs=4, point_flower=qan_point_flower,
+    ),
+    "cubic": Lattice(
+        "cubic", extra=0, aux=1, four_cells=FOUR_CELL_KINDS[4:],
+        glued=((CellKind.CUBE4, CellKind.CUBE4, 1, 1),),
+        flower_dirs=3, point_flower=cubic_point_flower,
+    ),
+}
+
+# Point sizes a cell may have, per family: dimensions 3 to MAX_DIM plus the
+# auxiliary directions.  Read on every validated construction, so kept as a
+# table rather than recomputed from the Lattice each time.
+_AMBIENT_BOUNDS = {
+    name: (lattice.ambient(3), lattice.max_ambient) for name, lattice in LATTICES.items()
+}
+
+
 def decompose_flower(
     flower_chain: Chain, vertex: Point
 ) -> list[tuple[OrientedCell, Point]]:
@@ -600,53 +665,43 @@ def decompose_flower(
     if len(star) != len(flower_chain):
         raise NotFlowerError("chain contains cells away from the vertex")
     family = _check_three_manifold_terms(star)
-
-    if family == "cubic":
-        padded_vertex = vertex + (0,)
-        aux = len(vertex)
-        padded = star.padded(1)
-        # Every index is below the new last coordinate, so the lifts stay
-        # sorted; coefficients are +-1 on a manifold chain.
-        pairs = [
-            (_derived_cell(CellKind.CUBE4, cell.base, cell.indices + (aux,), coeff),
-             padded_vertex)
-            for cell, coeff in padded.items()
-        ]
-        residual = _corner_sum(pairs) - padded
-        if residual:
-            raise DecompositionError(f"nonzero residual chain: {residual!r}")
-        return pairs
-
+    aux = LATTICES[family].aux
+    padded_vertex = vertex + (0,) * aux
+    padded = star.padded(aux)
     aux_m = len(vertex)
-    aux_l = aux_m + 1
-    padded_vertex = vertex + (0, 0)
-    padded = star.padded(2)
+    # Every cell is lifted along M.  M is above every index, so the lifted
+    # indices stay sorted; coefficients are +-1 on a manifold chain.
     lift_kind = {
         CellKind.BLACK_TETRAHEDRON: CellKind.BLACK_SIMPLEX4,
         CellKind.OCTAHEDRON: CellKind.BLACK_AMBO4,
         CellKind.WHITE_TETRAHEDRON: CellKind.WHITE_AMBO4,
+        CellKind.CUBE3: CellKind.CUBE4,
     }
     pairs = [
         (_derived_cell(lift_kind[cell.kind], cell.base, cell.indices + (aux_m,), coeff),
          padded_vertex)
         for cell, coeff in padded.items()
     ]
-    white_corner_sum = _corner_sum(
-        pair for pair in pairs if pair[0].kind is CellKind.WHITE_AMBO4
-    )
-    for cell, coeff in white_corner_sum.items():
-        if cell.kind is not CellKind.WHITE_TETRAHEDRON or aux_m not in cell.indices:
-            continue
-        if abs(coeff) != 1:
-            raise DecompositionError(
-                f"auxiliary tetrahedron {cell} has coefficient {coeff}"
-            )
-        base = list(cell.base)
-        base[aux_l] -= 1
-        simplex = _derived_cell(
-            CellKind.WHITE_SIMPLEX4, tuple(base), cell.indices + (aux_l,), -coeff
+    if family == "qan":
+        # The white lifts leave auxiliary white tetrahedra; white 4-simplices
+        # along L close them.
+        aux_l = aux_m + 1
+        white_corner_sum = _corner_sum(
+            pair for pair in pairs if pair[0].kind is CellKind.WHITE_AMBO4
         )
-        pairs.append((simplex, padded_vertex))
+        for cell, coeff in white_corner_sum.items():
+            if cell.kind is not CellKind.WHITE_TETRAHEDRON or aux_m not in cell.indices:
+                continue
+            if abs(coeff) != 1:
+                raise DecompositionError(
+                    f"auxiliary tetrahedron {cell} has coefficient {coeff}"
+                )
+            base = list(cell.base)
+            base[aux_l] -= 1
+            simplex = _derived_cell(
+                CellKind.WHITE_SIMPLEX4, tuple(base), cell.indices + (aux_l,), -coeff
+            )
+            pairs.append((simplex, padded_vertex))
     residual = _corner_sum(pairs) - padded
     if residual:
         raise DecompositionError(f"nonzero residual chain: {residual!r}")

@@ -19,15 +19,7 @@ import sys
 from typing import Sequence
 
 from . import config
-from .cells import (
-    CellKind,
-    OrientedCell,
-    cubic_point_flower,
-    decompose_flower,
-    format_cell,
-    parse_chain,
-    qan_point_flower,
-)
+from .cells import LATTICES, CellKind, decompose_flower, format_cell, parse_chain
 from .dkp import (
     Branch,
     read_field_file,
@@ -54,6 +46,13 @@ EXIT_IO = 4
 
 _REPORT_FORMAT = "plurikp-report/1"
 
+_SOLVE_KINDS = {
+    "ambo-black": CellKind.BLACK_AMBO4,
+    "ambo-white": CellKind.WHITE_AMBO4,
+    "cube4": CellKind.CUBE4,
+}
+_STANDARD_FLOWERS = {"qa3": "qan", "z3": "cubic"}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -77,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None, help="report file path")
 
     solve = sub.add_parser("solve", help="complete an initial-value field")
-    solve.add_argument("kind", choices=("ambo-black", "ambo-white", "cube4"))
+    solve.add_argument("kind", choices=tuple(_SOLVE_KINDS))
     solve.add_argument("input", help="initial field file (JSON)")
     solve.add_argument("output", help="completed field file (JSON)")
     solve.add_argument(
@@ -88,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     decomp = sub.add_parser("decompose", help="decompose a flower into corners")
     decomp.add_argument("flower", nargs="?", help="chain file, one cell per line")
     decomp.add_argument(
-        "--standard", choices=("qa3", "z3"), default=None,
+        "--standard", choices=tuple(_STANDARD_FLOWERS), default=None,
         help="use a built-in full-star flower instead of a file",
     )
     decomp.add_argument("--dim", type=int, default=config.DEFAULT_DIM)
@@ -174,15 +173,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     branch = Branch.DKP if args.branch == "dkp" else Branch.DKP_MINUS
     if dim < 4:
         raise ConfigError(f"completion needs a field file with dim >= 4, got {dim}")
-    if args.kind == "cube4":
-        needed, solve = "cubic", solve_cube_ivp
-        cell = OrientedCell(CellKind.CUBE4, (0,) * dim, tuple(range(4)))
-    else:
-        needed, solve = "qan", solve_ambo_ivp
-        kind = CellKind.BLACK_AMBO4 if args.kind == "ambo-black" else CellKind.WHITE_AMBO4
-        cell = OrientedCell(kind, (0,) * (dim + 1), tuple(range(5)))
-    if lattice != needed:
-        raise ConfigError(f"{args.kind} completion needs a {needed}-lattice field file")
+    kind = _SOLVE_KINDS[args.kind]
+    if lattice != kind.family:
+        raise ConfigError(f"{args.kind} completion needs a {kind.family}-lattice field file")
+    cell = LATTICES[lattice].cell(kind, dim)
+    solve = solve_cube_ivp if kind is CellKind.CUBE4 else solve_ambo_ivp
     solution = solve(cell, data, branch)
     report = classify_branch(solution, cell)
     s_value = exterior_derivative(solution, cell)
@@ -198,12 +193,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         raise ConfigError("give either a flower chain file or --standard")
     if args.standard is not None and not 3 <= args.dim <= config.MAX_DIM:
         raise ConfigError(f"--dim must be in [3, {config.MAX_DIM}], got {args.dim}")
-    if args.standard == "qa3":
-        center = (0,) * (args.dim + 1)
-        chain = qan_point_flower(center, range(4))
-    elif args.standard == "z3":
-        center = (0,) * args.dim
-        chain = cubic_point_flower(center, range(3))
+    if args.standard is not None:
+        chain, center = LATTICES[_STANDARD_FLOWERS[args.standard]].star(args.dim)
     else:
         with open(args.flower, "r", encoding="utf-8") as handle:
             chain = parse_chain(handle.read())

@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import config
-from .cells import CellKind, OrientedCell, Point, _offset, facets
+from .cells import LATTICES, CellKind, OrientedCell, Point, _offset, facets
 from .dilog import GOLDEN_A
 from .errors import (
     CellError,
@@ -51,7 +51,6 @@ __all__ = [
     "Field",
     "ambo_ivp_points",
     "cube_ivp_points",
-    "dkp_minus_residual",
     "dkp_minus_residual_relative",
     "dkp_residual",
     "dkp_residual_relative",
@@ -61,6 +60,7 @@ __all__ = [
     "golden_sign_pattern",
     "golden_solution",
     "invert_field",
+    "ivp_points",
     "monomial_sign_pattern",
     "nonsingularity_margin",
     "read_field_file",
@@ -68,7 +68,6 @@ __all__ = [
     "six_points",
     "solve_ambo_ivp",
     "solve_cube_ivp",
-    "solve_octahedron",
     "system_on_4cell",
     "write_field_file",
     "write_json",
@@ -147,16 +146,6 @@ def dkp_residual_relative(field: Mapping[Point, float], cell: OrientedCell) -> f
     return _relative(signed_monomials(field, six_points(cell)), cell)
 
 
-def dkp_minus_residual(field: Mapping[Point, float], cell: OrientedCell) -> float:
-    """Signed quartic residual of the inverted relation, -e2(M).
-
-    Equals (product of the six values) times the trilinear residual of the
-    pointwise-inverted field.
-    """
-    m1, m2, m3 = signed_monomials(field, six_points(cell))
-    return -cell.sign * (m1 * m2 + m2 * m3 + m3 * m1)
-
-
 def _inverse_terms(monomials: tuple[float, float, float]) -> tuple[float, float, float]:
     # The terms of e2(M), whose sum the inverse relation sets to zero.
     m1, m2, m3 = monomials
@@ -202,17 +191,6 @@ def _solve_slot(field: Mapping[Point, float], points: Points, slot: int) -> floa
     if value == 0.0 or not math.isfinite(value):
         raise SingularFieldError(f"solving at {points[slot]} gives singular {value}")
     return value
-
-
-def solve_octahedron(
-    field: Mapping[Point, float], cell: OrientedCell, unknown: Point
-) -> float:
-    """Value at the unknown vertex making the trilinear residual zero."""
-    points = six_points(cell)
-    unknown = tuple(unknown)
-    if unknown not in points:
-        raise CellError(f"{unknown} is not a relation vertex of {cell}")
-    return _solve_slot(field, points, points.index(unknown))
 
 
 @functools.lru_cache(maxsize=256)
@@ -273,6 +251,14 @@ def cube_ivp_points(cell4: OrientedCell) -> IvpPoints:
     j, k, l, m = cell4.indices
     groups = ((l,), (m,), (j, l), (j, m), (k, l), (k, m), (l, m), (j, k, l), (j, k, m))
     return _ivp_points(cell4, groups)
+
+
+def ivp_points(cell4: OrientedCell) -> IvpPoints:
+    """(required, solved) vertex tuples of the completion on a 4-ambo cell
+    or a 4D cube."""
+    if cell4.kind is CellKind.CUBE4:
+        return cube_ivp_points(cell4)
+    return ambo_ivp_points(cell4)
 
 
 def _complete(
@@ -503,7 +489,7 @@ def _parse_payload(payload: object, path: str) -> tuple[Field, str, int]:
     if not isinstance(payload, dict) or payload.get("format") != _FIELD_FORMAT:
         raise FormatError(f"{path}: missing or unknown format marker")
     lattice = payload.get("lattice")
-    if lattice not in ("qan", "cubic"):
+    if not isinstance(lattice, str) or lattice not in LATTICES:
         raise FormatError(f"{path}: lattice must be 'qan' or 'cubic'")
     dim = payload.get("dim")
     if type(dim) is not int or not 3 <= dim <= config.MAX_DIM:
@@ -511,7 +497,7 @@ def _parse_payload(payload: object, path: str) -> tuple[Field, str, int]:
     try:
         raw = payload["values"]
         field: Field = {}
-        expected = dim + 1 if lattice == "qan" else dim
+        expected = LATTICES[lattice].ambient(dim)
         for key, value in raw.items():
             point = tuple(int(t) for t in key.split(","))
             if key != ",".join(str(c) for c in point):

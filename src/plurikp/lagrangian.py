@@ -37,7 +37,6 @@ from .errors import CellError, NoCornerEquationError, SingularFieldError
 __all__ = [
     "CornerProduct",
     "action",
-    "action_at",
     "corner_product",
     "corner_residual",
     "exterior_derivative",
@@ -66,15 +65,6 @@ def action(field: Mapping[Point, float], manifold: Chain) -> float:
         else:
             raise CellError(f"action is defined on 3-cells only, got {cell}")
     return total
-
-
-def action_at(field: Mapping[Point, float], manifold: Chain, vertex: Point) -> float:
-    """Action restricted to the cells containing the vertex.
-
-    Identical to the full action up to terms independent of the value at the
-    vertex, hence interchangeable inside derivatives with respect to it.
-    """
-    return action(field, manifold.restricted_to_vertex(tuple(vertex)))
 
 
 def exterior_derivative(field: Mapping[Point, float], cell4: OrientedCell) -> float:

@@ -36,18 +36,16 @@ import numpy as np
 from . import _batch, config
 from ._streams import Streams
 from .cells import (
+    LATTICES,
     Chain,
     CellKind,
-    FOUR_CELL_KINDS,
     OrientedCell,
     Point,
     boundary,
     corner,
-    cubic_point_flower,
     decompose_flower,
     facets,
     flower,
-    qan_point_flower,
     vertices,
 )
 # skew_dilog and corner_product are no longer called here, but stay bound:
@@ -58,12 +56,11 @@ from .dkp import (
     Field,
     _inverse_terms,
     _relative,
-    ambo_ivp_points,
-    cube_ivp_points,
     dkp_residual,
     golden_field,
     golden_sign_pattern,
     golden_solution,
+    ivp_points,
     monomial_sign_pattern,
     nonsingularity_margin,
     six_points,
@@ -95,7 +92,6 @@ __all__ = [
     "CheckRecord",
     "SuiteConfig",
     "SuiteResult",
-    "check_closure",
     "check_euler_lagrange_sum",
     "classify_branch",
     "corner_vertices",
@@ -173,7 +169,7 @@ class SuiteConfig:
     tolerances: dict = dc_field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.lattice not in ("qan", "cubic"):
+        if not isinstance(self.lattice, str) or self.lattice not in LATTICES:
             raise ConfigError(f"lattice must be 'qan' or 'cubic', got {self.lattice!r}")
         dim, trials, seed = (
             _integer_setting(name, getattr(self, name))
@@ -273,12 +269,8 @@ def _random_solution(
     closure constants take their reference values.  component="any" leaves
     the sign pattern of the initial data free.
     """
-    if cell4.kind is CellKind.CUBE4:
-        required, _ = cube_ivp_points(cell4)
-        solve = solve_cube_ivp
-    else:
-        required, _ = ambo_ivp_points(cell4)
-        solve = solve_ambo_ivp
+    required, _ = ivp_points(cell4)
+    solve = solve_cube_ivp if cell4.kind is CellKind.CUBE4 else solve_ambo_ivp
     supports = system_on_4cell(cell4)
     target = golden_sign_pattern(cell4) if component == "golden" else None
     if target is not None:
@@ -400,29 +392,6 @@ def closure_constant(cell4: OrientedCell, branch: Branch) -> float:
     raise BranchError(f"no closure constant for branch {branch}")
 
 
-def check_closure(
-    field: Mapping[Point, float],
-    cell4: OrientedCell,
-    cfg: SuiteConfig | None = None,
-) -> CheckRecord:
-    """Closure of the 3-form on one classified solution."""
-    cfg = cfg or SuiteConfig()
-    report = classify_branch(
-        field,
-        cell4,
-        tolerance=cfg.tolerance("classify"),
-        neither_floor=cfg.tolerance("neither_floor"),
-        system_tolerance=cfg.tolerance("system_rel"),
-    )
-    if report.branch is Branch.NEITHER:
-        raise BranchError("closure is only claimed on solutions")
-    observed = exterior_derivative(field, cell4)
-    expected = closure_constant(cell4, report.branch)
-    return _record(
-        cfg, f"closure-{cell4.kind.value}", observed, expected, "golden_closure"
-    )
-
-
 # --- finite differences -------------------------------------------------------
 
 
@@ -469,7 +438,7 @@ def _corner_frame(manifold: Chain, vertex: Point) -> _CornerFrame:
     def build() -> _CornerFrame:
         star = flower(manifold, vertex)
         pairs = tuple(decompose_flower(star, vertex))
-        pad = (0,) * (2 if star.cells()[0].family == "qan" else 1)
+        pad = (0,) * LATTICES[star.cells()[0].family].aux
         needed: set[Point] = set()
         supports: list[OrientedCell] = []
         for cell4, _ in pairs:
@@ -498,6 +467,7 @@ def check_euler_lagrange_sum(
     corner residuals.
     """
     cfg = cfg or SuiteConfig()
+    cfg.validate()
     vertex = tuple(vertex)
     frame = _corner_frame(manifold, vertex)
     padded_vertex = vertex + frame.pad
@@ -547,7 +517,7 @@ def _jacobian(
 
 def cube_freedom_probe(cfg: SuiteConfig) -> tuple[int, int]:
     """(free vertex count, rank of the solved columns) for the 4D-cube system."""
-    cell = OrientedCell(CellKind.CUBE4, (0,) * max(4, cfg.dim), tuple(range(4)))
+    cell = LATTICES["cubic"].cell(CellKind.CUBE4, cfg.dim)
     rng = _rng(cfg, "cube-ivp-freedom", 0)
     solution = _random_solution(rng, cell)
     points = sorted(solution)
@@ -556,7 +526,7 @@ def cube_freedom_probe(cfg: SuiteConfig) -> tuple[int, int]:
     ]
     jac = _jacobian(functions, solution, points)
     rank = _numeric_rank(jac)
-    _, solved = cube_ivp_points(cell)
+    _, solved = ivp_points(cell)
     solved_cols = [points.index(p) for p in solved]
     solved_rank = _numeric_rank(jac[:, solved_cols])
     return len(points) - rank, solved_rank
@@ -564,7 +534,7 @@ def cube_freedom_probe(cfg: SuiteConfig) -> tuple[int, int]:
 
 def ambo_corner_rank_probe(cfg: SuiteConfig) -> int:
     """Numeric Jacobian rank of the ten corner equations at a random solution."""
-    cell = OrientedCell(CellKind.BLACK_AMBO4, (0,) * (cfg.dim + 1), tuple(range(5)))
+    cell = LATTICES["qan"].cell(CellKind.BLACK_AMBO4, cfg.dim)
     rng = _rng(cfg, "info-ambo-corner-rank", 0)
     solution = _random_solution(rng, cell, margin=0.01)
     points = sorted(solution)
@@ -608,21 +578,13 @@ def _check_skew_antisymmetry(cfg: SuiteConfig) -> list[CheckRecord]:
     return [_record(cfg, "skew-antisymmetry", worst, 0.0, "skew_antisymmetry")]
 
 
-def _ambo_cell(cfg: SuiteConfig, kind: CellKind) -> OrientedCell:
-    return OrientedCell(kind, (0,) * (cfg.dim + 1), tuple(range(5)))
-
-
-def _cube_cell(cfg: SuiteConfig) -> OrientedCell:
-    return OrientedCell(CellKind.CUBE4, (0,) * cfg.dim, tuple(range(4)))
-
-
 def _check_golden(cfg: SuiteConfig) -> list[CheckRecord]:
     records = []
     for kind, tag in (
         (CellKind.BLACK_AMBO4, "black"),
         (CellKind.WHITE_AMBO4, "white"),
     ):
-        cell = _ambo_cell(cfg, kind)
+        cell = LATTICES["qan"].cell(kind, cfg.dim)
         solution = golden_field(cell, Branch.DKP)
         worst = max(
             abs(three_form(solution, s) + PI2_20) for s in system_on_4cell(cell)
@@ -705,16 +667,28 @@ def _solution_trials(cell: OrientedCell, streams: Streams) -> np.ndarray:
     )
 
 
+# The tags of the random-solution checks, per 4-cell kind with a relation
+# system (a completion and a closure constant).
+_SOLUTION_TAGS = {
+    CellKind.BLACK_AMBO4: "ambo-black",
+    CellKind.WHITE_AMBO4: "ambo-white",
+    CellKind.CUBE4: "cube",
+}
+
+
+def _solution_cells(cfg: SuiteConfig) -> list[tuple[OrientedCell, str]]:
+    """The lattice's standard 4-cells with a relation system, and their tags."""
+    lattice = LATTICES[cfg.lattice]
+    return [
+        (lattice.cell(kind, cfg.dim), _SOLUTION_TAGS[kind])
+        for kind in lattice.four_cells
+        if kind in _SOLUTION_TAGS
+    ]
+
+
 def _check_random_solutions(cfg: SuiteConfig) -> list[CheckRecord]:
-    if cfg.lattice == "qan":
-        cells = [
-            (_ambo_cell(cfg, CellKind.BLACK_AMBO4), "ambo-black"),
-            (_ambo_cell(cfg, CellKind.WHITE_AMBO4), "ambo-white"),
-        ]
-    else:
-        cells = [(_cube_cell(cfg), "cube")]
     records = []
-    for cell, tag in cells:
+    for cell, tag in _solution_cells(cfg):
         rows = np.concatenate(
             [
                 _solution_trials(cell, streams)
@@ -758,43 +732,26 @@ def _gradient_gap(cfg: SuiteConfig, cell: OrientedCell, check_id: str) -> float:
 
 
 def _check_gradient(cfg: SuiteConfig) -> list[CheckRecord]:
-    if cfg.lattice == "qan":
-        cells = [
-            (_ambo_cell(cfg, CellKind.BLACK_AMBO4), "bambo4"),
-            (_ambo_cell(cfg, CellKind.WHITE_AMBO4), "wambo4"),
-            (_ambo_cell(cfg, CellKind.BLACK_SIMPLEX4), "bsimp4"),
-            (_ambo_cell(cfg, CellKind.WHITE_SIMPLEX4), "wsimp4"),
-        ]
-    else:
-        cells = [(_cube_cell(cfg), "cube4")]
+    lattice = LATTICES[cfg.lattice]
+    # The relation kinds come first, then the 4-simplices.
+    kinds = sorted(lattice.four_cells, key=lambda kind: kind not in _SOLUTION_TAGS)
     records = []
-    for cell, tag in cells:
-        check_id = f"gradient-{tag}"
-        worst = _gradient_gap(cfg, cell, check_id)
+    for kind in kinds:
+        check_id = f"gradient-{kind.value}"
+        worst = _gradient_gap(cfg, lattice.cell(kind, cfg.dim), check_id)
         records.append(_record(cfg, check_id, worst, 0.0, "gradient"))
     return records
 
 
-def _kind_cells_for_boundary(cfg: SuiteConfig) -> list[OrientedCell]:
-    if cfg.lattice == "cubic":
-        return [_cube_cell(cfg)]
-    return [_ambo_cell(cfg, kind) for kind in FOUR_CELL_KINDS if kind is not CellKind.CUBE4]
-
-
 def _check_boundary_squared(cfg: SuiteConfig) -> list[CheckRecord]:
+    lattice = LATTICES[cfg.lattice]
     bad_terms = 0
-    for ambient_dim in (4, 5, 6):
-        if cfg.lattice == "qan":
-            ambient = ambient_dim + 1
-            kinds = [k for k in FOUR_CELL_KINDS if k is not CellKind.CUBE4]
-            n_idx = 5
-        else:
-            ambient = ambient_dim
-            kinds = [CellKind.CUBE4]
-            n_idx = 4
-        rng = _rng(cfg, "ddzero", ambient_dim)
-        for kind in kinds:
-            for indices in itertools.combinations(range(ambient), n_idx):
+    for dim in (4, 5, 6):
+        rng = _rng(cfg, "ddzero", dim)
+        for kind in lattice.four_cells:
+            standard = lattice.cell(kind, dim)
+            ambient = len(standard.base)
+            for indices in itertools.combinations(range(ambient), len(standard.indices)):
                 base = tuple(int(rng.integers(-3, 4)) for _ in range(ambient))
                 for sign in (1, -1):
                     cell = OrientedCell(kind, base, indices, sign)
@@ -816,19 +773,12 @@ _FACET_COUNTS = {
 
 
 def _check_facet_counts(cfg: SuiteConfig) -> list[CheckRecord]:
+    lattice = LATTICES[cfg.lattice]
     mismatches = 0
     for kind, expected in _FACET_COUNTS.items():
-        if kind in (CellKind.CUBE3, CellKind.CUBE4):
-            if cfg.lattice != "cubic":
-                continue
-            ambient = max(4, cfg.dim)
-            n_idx = 3 if kind is CellKind.CUBE3 else 4
-        else:
-            if cfg.lattice != "qan":
-                continue
-            ambient = cfg.dim + 1
-            n_idx = 4 if kind.value in ("btet", "oct", "wtet") else 5
-        cell = OrientedCell(kind, (0,) * ambient, tuple(range(n_idx)))
+        if kind.family != lattice.name:
+            continue
+        cell = lattice.cell(kind, cfg.dim)
         seen: dict[CellKind, int] = {}
         for facet_cell, coeff in facets(cell).items():
             if abs(coeff) != 1:
@@ -839,37 +789,20 @@ def _check_facet_counts(cfg: SuiteConfig) -> list[CheckRecord]:
     return [_record(cfg, "facet-counts", mismatches, 0, "exact")]
 
 
-def _standard_flower(cfg: SuiteConfig) -> tuple[Chain, Point]:
-    if cfg.lattice == "qan":
-        center = (0,) * (cfg.dim + 1)
-        return qan_point_flower(center, range(4)), center
-    center = (0,) * max(3, cfg.dim)
-    return cubic_point_flower(center, range(3)), center
-
-
 def _glued_flower(
     cfg: SuiteConfig, rng: np.random.Generator
 ) -> tuple[Chain, Point]:
-    """A randomized flower glued from two adjacent 4-cell boundaries."""
-    if cfg.lattice == "cubic":
-        base = tuple(int(rng.integers(-2, 3)) for _ in range(max(4, cfg.dim)))
-        first = OrientedCell(CellKind.CUBE4, base, tuple(range(4)))
-        m = first.indices[-1]
-        second = OrientedCell(CellKind.CUBE4, first.shifted(m).base, first.indices)
-        manifold = facets(first) + facets(second)
-        shared = sorted(vertices(first) & vertices(second))
-        vertex = shared[int(rng.integers(0, len(shared)))]
-        return flower(manifold, vertex), vertex
-    base = tuple(int(rng.integers(-2, 3)) for _ in range(cfg.dim + 1))
-    pairings = (
-        (CellKind.BLACK_SIMPLEX4, CellKind.BLACK_AMBO4),
-        (CellKind.BLACK_AMBO4, CellKind.WHITE_AMBO4),
-        (CellKind.WHITE_AMBO4, CellKind.WHITE_SIMPLEX4),
-    )
-    kind_a, kind_b = pairings[int(rng.integers(0, len(pairings)))]
-    first = OrientedCell(kind_a, base, tuple(range(5)))
+    """A randomized flower glued from two adjacent 4-cell boundaries.
+
+    It draws the base, then the pair of kinds, then the center.  A lattice
+    with one pair draws nothing for it: rng.integers(0, 1) reads no bits.
+    """
+    lattice = LATTICES[cfg.lattice]
+    base = tuple(int(rng.integers(-2, 3)) for _ in range(lattice.ambient(cfg.dim)))
+    kind_a, kind_b, step, sign = lattice.glued[int(rng.integers(0, len(lattice.glued)))]
+    first = OrientedCell(kind_a, base, lattice.cell(kind_a, cfg.dim).indices)
     m = first.indices[-1]
-    second = OrientedCell(kind_b, first.shifted(m, -1).base, first.indices, -1)
+    second = OrientedCell(kind_b, first.shifted(m, step).base, first.indices, sign)
     manifold = facets(first) + facets(second)
     shared = sorted(vertices(first) & vertices(second))
     vertex = shared[int(rng.integers(0, len(shared)))]
@@ -877,19 +810,21 @@ def _glued_flower(
 
 
 def _check_flower_decomposition(cfg: SuiteConfig) -> list[CheckRecord]:
+    lattice = LATTICES[cfg.lattice]
     failures = 0
     flowers: list[tuple[Chain, Point]] = []
     # Boundary flowers of every supported 4-cell kind at every vertex.
     # 4-cells need five directions, so they only exist from dimension 4 on.
     if cfg.dim >= 4:
-        for cell in _kind_cells_for_boundary(cfg):
+        for kind in lattice.four_cells:
+            cell = lattice.cell(kind, cfg.dim)
             for vertex in sorted(vertices(cell)):
                 star = flower(facets(cell), vertex)
                 if star != corner(cell, vertex):
                     failures += 1
                 flowers.append((star, vertex))
     # Full sub-lattice star.
-    flowers.append(_standard_flower(cfg))
+    flowers.append(lattice.star(cfg.dim))
     # Randomized glued flowers.
     if cfg.dim >= 4:
         for trial in range(min(cfg.trials, 20)):
@@ -903,18 +838,19 @@ def _check_flower_decomposition(cfg: SuiteConfig) -> list[CheckRecord]:
 
 
 def _check_el_sum(cfg: SuiteConfig) -> list[CheckRecord]:
+    lattice = LATTICES[cfg.lattice]
     records = []
     cases: list[tuple[str, Chain, Point]] = []
     if cfg.dim >= 4:
-        for cell in _kind_cells_for_boundary(cfg):
+        for kind in lattice.four_cells:
+            cell = lattice.cell(kind, cfg.dim)
             cell_vertices = sorted(vertices(cell))
             # Two corner centers per kind; the middle one is never the inert
             # base corner of a 4D cube.
             for vertex in (cell_vertices[0], cell_vertices[len(cell_vertices) // 2]):
                 cases.append((f"el-sum-corner-{cell.kind.value}", facets(cell), vertex))
-    star, center = _standard_flower(cfg)
-    tag = "el-sum-star-qan" if cfg.lattice == "qan" else "el-sum-star-cubic"
-    cases.append((tag, star, center))
+    star, center = lattice.star(cfg.dim)
+    cases.append((f"el-sum-star-{lattice.name}", star, center))
     worst_by_id: dict[str, float] = {}
     for case_index, (check_id, manifold, vertex) in enumerate(cases):
         star = flower(manifold, vertex)
@@ -940,10 +876,7 @@ def _check_el_sum(cfg: SuiteConfig) -> list[CheckRecord]:
 
 
 def _check_negative_control(cfg: SuiteConfig) -> list[CheckRecord]:
-    if cfg.lattice == "qan":
-        cell = _ambo_cell(cfg, CellKind.BLACK_AMBO4)
-    else:
-        cell = _cube_cell(cfg)
+    cell, _ = _solution_cells(cfg)[0]  # bambo4 or cube4
     tab = _batch.tables(cell)
     failures = 0
     for streams in _trial_chunks(cfg, "negative-control"):

@@ -8,10 +8,9 @@ from plurikp._streams import Streams
 from plurikp.cells import CellKind, OrientedCell, facets, vertices
 from plurikp.dkp import (
     Branch,
-    ambo_ivp_points,
-    cube_ivp_points,
     golden_field,
     invert_field,
+    ivp_points,
     monomial_sign_pattern,
     nonsingularity_margin,
     solve_ambo_ivp,
@@ -120,10 +119,8 @@ def test_completion_matches_solver_bit_for_bit(cell, solver_rel, monkeypatch):
     # A near-zero solver_rel makes the completion self-check reject too.
     monkeypatch.setitem(config.TOLERANCES, "solver_rel", solver_rel)
     tab = _batch.tables(cell)
-    if cell.kind is CellKind.CUBE4:
-        required, solve = cube_ivp_points(cell)[0], solve_cube_ivp
-    else:
-        required, solve = ambo_ivp_points(cell)[0], solve_ambo_ivp
+    required, _ = ivp_points(cell)
+    solve = solve_cube_ivp if cell.kind is CellKind.CUBE4 else solve_ambo_ivp
     rng = np.random.default_rng(6)
     data = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=(300, len(required)))
     # Exact values make many completions singular; perturbed ones few.

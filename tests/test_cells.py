@@ -15,6 +15,7 @@ from plurikp.cells import (
     CellKind,
     Chain,
     FOUR_CELL_KINDS,
+    LATTICES,
     OrientedCell,
     boundary,
     corner,
@@ -601,6 +602,56 @@ def test_decompose_works_at_max_dimension():
     star = qan_point_flower(center, (0, 1, 2, 3))
     pairs = decompose_flower(star, center)
     assert corner_sum(pairs) == star.padded(2)
+
+
+# --- lattice descriptions ------------------------------------------------------
+
+
+def test_lattices_hold_each_family_geometry():
+    qan, cubic = LATTICES["qan"], LATTICES["cubic"]
+    assert [qan.ambient(4), cubic.ambient(4)] == [5, 4]
+    assert [qan.aux, cubic.aux] == [2, 1]
+    assert [qan.max_ambient, cubic.max_ambient] == [13, 11]
+    assert qan.four_cells + cubic.four_cells == FOUR_CELL_KINDS
+    for name, lattice in LATTICES.items():
+        assert lattice.name == name
+        assert {kind.family for kind in lattice.four_cells} == {name}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_lattice_standard_cells_and_star(name):
+    lattice = LATTICES[name]
+    for kind in (k for k in CellKind if k.family == name):
+        standard = lattice.cell(kind, 4)
+        assert standard.base == (0,) * lattice.ambient(4)
+        assert standard.indices == tuple(range(len(standard.indices)))
+    with pytest.raises(CellError):
+        lattice.cell(next(k for k in CellKind if k.family != name), 4)
+    for dim in (3, 4, 10):
+        star, center = lattice.star(dim)
+        assert center == (0,) * lattice.ambient(dim)
+        assert corner_sum(decompose_flower(star, center)) == star.padded(lattice.aux)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_lattice_glued_pairs_share_one_facet(name):
+    lattice = LATTICES[name]
+    for first_kind, second_kind, step, sign in lattice.glued:
+        first = lattice.cell(first_kind, 4)
+        m = first.indices[-1]
+        second = OrientedCell(second_kind, first.shifted(m, step).base, first.indices, sign)
+        glued = facets(first) + facets(second)
+        assert len(glued) == len(facets(first)) + len(facets(second)) - 2
+
+
+@pytest.mark.parametrize("kind, count", [(CellKind.OCTAHEDRON, 4), (CellKind.CUBE3, 3)])
+def test_cell_ambient_bounds_come_from_the_lattice(kind, count):
+    lattice = LATTICES[kind.family]
+    for size in (lattice.ambient(3), lattice.max_ambient):
+        OrientedCell(kind, (0,) * size, range(count))
+    for size in (lattice.ambient(3) - 1, lattice.max_ambient + 1):
+        with pytest.raises(CellError, match="ambient size"):
+            OrientedCell(kind, (0,) * size, range(count))
 
 
 # --- projection ----------------------------------------------------------------

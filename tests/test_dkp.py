@@ -13,9 +13,9 @@ from plurikp.cells import CellKind, OrientedCell, vertices
 from plurikp.dilog import GOLDEN_A
 from plurikp.dkp import (
     Branch,
+    _solve_slot,
     ambo_ivp_points,
     cube_ivp_points,
-    dkp_minus_residual,
     dkp_minus_residual_relative,
     dkp_residual,
     dkp_residual_relative,
@@ -23,13 +23,13 @@ from plurikp.dkp import (
     golden_field,
     golden_sign_pattern,
     invert_field,
+    ivp_points,
     monomial_sign_pattern,
     nonsingularity_margin,
     read_field_file,
     six_points,
     solve_ambo_ivp,
     solve_cube_ivp,
-    solve_octahedron,
     system_on_4cell,
     write_field_file,
 )
@@ -63,7 +63,8 @@ nonzero = st.floats(min_value=0.5, max_value=2.0).flatmap(
 
 def test_residual_all_ones_is_one():
     assert dkp_residual(field_on(oct_cell(), [1.0] * 6), oct_cell()) == 1.0
-    assert dkp_minus_residual(field_on(oct_cell(), [1.0] * 6), oct_cell()) == 1.0
+    # The terms of e2(M) are (-1, -1, 1): the sum -1 over the scale 3.
+    assert dkp_minus_residual_relative(field_on(oct_cell(), [1.0] * 6), oct_cell()) == 1 / 3
 
 
 def test_residual_golden_pattern_vanishes():
@@ -88,20 +89,8 @@ def test_residual_solved_octahedron_vanishes(rng):
         f = field_on(oct_cell(), values)
         unknown = six_points(oct_cell())[0]
         del f[unknown]
-        f[unknown] = solve_octahedron(f, oct_cell(), unknown)
+        f[unknown] = _solve_slot(f, six_points(oct_cell()), 0)
         assert dkp_residual_relative(f, oct_cell()) <= 1e-12
-
-
-@given(st.lists(nonzero, min_size=6, max_size=6))
-@settings(max_examples=200, deadline=None)
-def test_minus_residual_is_product_times_inverted_residual(values):
-    cell = oct_cell()
-    f = field_on(cell, values)
-    product = math.prod(values)
-    inverted = {p: 1.0 / v for p, v in f.items()}
-    lhs = dkp_minus_residual(f, cell)
-    rhs = product * dkp_residual(inverted, cell)
-    assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(lhs)))
 
 
 @given(st.lists(nonzero, min_size=6, max_size=6), st.sampled_from((1, -1)))
@@ -182,22 +171,21 @@ def test_system_unsupported_kind():
         system_on_4cell(oct_cell())
 
 
-# --- solve_octahedron -------------------------------------------------------------
+# --- solving for one vertex of an octahedron or a 3D cube ---------------------------
 
 
 def test_solve_octahedron_example():
     cell = oct_cell()
     points = six_points(cell)
     f = dict(zip(points[1:], [1.0, 1.0, 1.0, 2.0, 1.0]))
-    assert solve_octahedron(f, cell, points[0]) == pytest.approx(1.0)
+    assert _solve_slot(f, points, 0) == pytest.approx(1.0)
 
 
 def test_solve_octahedron_golden():
     cell = oct_cell()
     f = field_on(cell, [A, -1.0, -1.0, A, -1.0, A])
-    unknown = six_points(cell)[0]
-    del f[unknown]
-    assert solve_octahedron(f, cell, unknown) == pytest.approx(A, abs=1e-15)
+    del f[six_points(cell)[0]]
+    assert _solve_slot(f, six_points(cell), 0) == pytest.approx(A, abs=1e-15)
 
 
 def test_solve_octahedron_zero_coefficient():
@@ -205,7 +193,7 @@ def test_solve_octahedron_zero_coefficient():
     points = six_points(cell)
     f = dict(zip(points[1:], [1.0, 1.0, 1.0, 1.0, 0.0]))
     with pytest.raises(SingularFieldError):
-        solve_octahedron(f, cell, points[0])
+        _solve_slot(f, points, 0)
 
 
 def cube3_cell(sign=1):
@@ -223,12 +211,12 @@ def test_solve_octahedron_every_slot(make_cell, sign, slot, rng):
         values = [float(rng.uniform(0.5, 2.0) * rng.choice((-1, 1))) for _ in range(6)]
         f = field_on(cell, values)
         del f[unknown]
-        f[unknown] = solve_octahedron(f, cell, unknown)
+        f[unknown] = _solve_slot(f, points, slot)
         assert dkp_residual_relative(f, cell) <= 1e-12
     # The partner shares the unknown's monomial; at zero the slope vanishes.
     f[points[5 - slot]] = 0.0
     with pytest.raises(SingularFieldError):
-        solve_octahedron(f, cell, unknown)
+        _solve_slot(f, points, slot)
 
 
 # --- ambo completions --------------------------------------------------------------
@@ -414,7 +402,7 @@ REFERENCE_CELLS = [
 @pytest.mark.parametrize("cell4", REFERENCE_CELLS, ids=str)
 def test_ivp_points_match_hand_tables(cell4):
     cube = cell4.kind is CellKind.CUBE4
-    required, solved = (cube_ivp_points if cube else ambo_ivp_points)(cell4)
+    required, solved = ivp_points(cell4)
     hand_required, hand_solved = hand_tables(cell4)
     assert required == hand_required
     if cube:
@@ -428,7 +416,7 @@ def test_ivp_points_match_hand_tables(cell4):
 @pytest.mark.parametrize("cell4", REFERENCE_CELLS, ids=str)
 def test_completion_matches_exact_hand_formulas(cell4, branch):
     cube = cell4.kind is CellKind.CUBE4
-    required, _ = (cube_ivp_points if cube else ambo_ivp_points)(cell4)
+    required, _ = ivp_points(cell4)
     solve = solve_cube_ivp if cube else solve_ambo_ivp
     rng = np.random.default_rng([2024, REFERENCE_CELLS.index(cell4)])
     checked = 0
@@ -463,7 +451,7 @@ def test_golden_field_solves_system(kind):
         assert dkp_residual(golden, support) == pytest.approx(0.0, abs=1e-15)
     inverse = golden_field(cell, Branch.DKP_MINUS)
     for support in system_on_4cell(cell):
-        assert dkp_minus_residual(inverse, support) == pytest.approx(0.0, abs=1e-15)
+        assert dkp_minus_residual_relative(inverse, support) <= 1e-15
 
 
 def test_golden_field_value_multiset(black_ambo):
@@ -478,7 +466,7 @@ def test_golden_cube_field_solves_all_eight(cube4):
         assert dkp_residual(golden, support) == pytest.approx(0.0, abs=1e-15)
     inverse = golden_cube_field(cube4, Branch.DKP_MINUS)
     for support in system_on_4cell(cube4):
-        assert dkp_minus_residual(inverse, support) == pytest.approx(0.0, abs=1e-15)
+        assert dkp_minus_residual_relative(inverse, support) <= 1e-15
 
 
 def test_inversion_duality(black_ambo, rng):
@@ -590,6 +578,9 @@ def test_field_file_rejects_bad_payloads(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json")
     with pytest.raises(FormatError):
+        read_field_file(str(path))
+    path.write_text('{"format": "plurikp-field/1", "lattice": ["qan"], "dim": 4}')
+    with pytest.raises(FormatError, match="lattice"):
         read_field_file(str(path))
     path.write_text('{"format": "other"}')
     with pytest.raises(FormatError):

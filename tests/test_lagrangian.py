@@ -32,7 +32,6 @@ from plurikp.errors import (
 )
 from plurikp.lagrangian import (
     action,
-    action_at,
     corner_product,
     corner_residual,
     exterior_derivative,
@@ -143,20 +142,6 @@ def test_action_rejects_non_three_cells():
     chain = Chain.of(OrientedCell(CellKind.BLACK_AMBO4, Z5, (0, 1, 2, 3, 4)))
     with pytest.raises(CellError):
         action({}, chain)
-
-
-def test_action_at_matches_action_on_touching_cells(black_ambo, rng):
-    f = _random_plain_field(
-        rng, vertices(black_ambo), _relation_supports(black_ambo), config.FD_MARGIN
-    )
-    chain = facets(black_ambo)
-    vertex = sorted(vertices(black_ambo))[0]
-    full = action(f, chain)
-    away = action(f, Chain(
-        (c, k) for c, k in chain.items()
-        if vertex not in vertices(c)
-    ))
-    assert action_at(f, chain, vertex) == pytest.approx(full - away, abs=1e-12)
 
 
 # --- exterior derivative -----------------------------------------------------------

@@ -8,21 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plurikp.cells import corner, facets, vertices
+from plurikp.cells import corner, facets, qan_point_flower, vertices
 from plurikp.dkp import (
     Branch,
     golden_cube_field,
     golden_field,
 )
 from plurikp.errors import (
-    BranchError,
     ConfigError,
     InconclusiveBranchError,
 )
 from plurikp.verify import (
     SuiteConfig,
     ambo_corner_rank_probe,
-    check_closure,
     check_euler_lagrange_sum,
     classify_branch,
     corner_vertices,
@@ -105,28 +103,6 @@ def test_classify_gray_zone_raises(black_ambo, rng):
     nudged = {p: v * (1.0 + 1e-6 * float(rng.normal())) for p, v in golden.items()}
     with pytest.raises(InconclusiveBranchError):
         classify_branch(nudged, black_ambo)
-
-
-def test_check_closure_golden(black_ambo):
-    record = check_closure(golden_field(black_ambo, Branch.DKP), black_ambo)
-    assert record.passed
-    assert record.expected == pytest.approx(-PI2_4)
-    record = check_closure(golden_field(black_ambo, Branch.DKP_MINUS), black_ambo)
-    assert record.expected == pytest.approx(PI2_4)
-
-
-def test_check_closure_cube_expects_zero(cube4):
-    record = check_closure(golden_cube_field(cube4), cube4)
-    assert record.passed
-    assert record.expected == 0.0
-
-
-def test_check_closure_rejects_neither(black_ambo, rng):
-    field = _random_plain_field(
-        rng, vertices(black_ambo), _relation_supports(black_ambo), 1e-6
-    )
-    with pytest.raises(BranchError):
-        check_closure(field, black_ambo)
 
 
 def test_el_sum_single_corner_flower(black_ambo, rng):
@@ -241,6 +217,8 @@ def test_config_validation():
         run_suite(SuiteConfig(dim="four"))
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(tolerances=None))
+    with pytest.raises(ConfigError):
+        run_suite(SuiteConfig(lattice=["qan"]))
 
 
 @pytest.mark.parametrize(
@@ -266,6 +244,14 @@ def test_config_validation_refuses_inexact_integers(setting):
     bad = dataclasses.replace(cfg, **setting)
     with pytest.raises(ConfigError, match=next(iter(setting))):
         bad.validate()
+
+
+def test_euler_lagrange_sum_validates_its_config():
+    center = (0,) * 5
+    star = qan_point_flower(center, range(4))
+    field = dict.fromkeys(set().union(*map(vertices, star.cells())), 1.0)
+    with pytest.raises(ConfigError, match="seed"):
+        check_euler_lagrange_sum(star, center, field, SuiteConfig(seed=7.5))
 
 
 def test_config_validation_accepts_numpy_integers():
@@ -352,6 +338,31 @@ def test_suite_matches_records_of_the_scalar_trial_loops(key):
         differenced = record.check_id.startswith(("gradient-", "el-sum"))
         tolerance = 1e-9 if differenced else 1e-12
         assert abs(record.observed - recorded["observed"]) <= tolerance, record.check_id
+
+
+_DIM_RECORDS = json.loads(
+    (Path(__file__).parent / "data" / "suite_records_dims.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", sorted(_DIM_RECORDS["suites"]))
+def test_suite_matches_records_at_other_dims_exactly(key):
+    lattice, dim = key.split("/")
+    cfg = SuiteConfig(
+        lattice=lattice, dim=int(dim), trials=_DIM_RECORDS["trials"],
+        seed=_DIM_RECORDS["seed"],
+    )
+    observed = [
+        {
+            "check_id": r.check_id,
+            "params_digest": r.params_digest,
+            "observed": r.observed.hex(),
+            "expected": r.expected.hex(),
+            "passed": r.passed,
+        }
+        for r in run_suite(cfg).records
+    ]
+    assert observed == _DIM_RECORDS["suites"][key]
 
 
 @pytest.mark.parametrize("lattice, cases", [("qan", 9), ("cubic", 3)])
