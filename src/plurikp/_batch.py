@@ -1,31 +1,31 @@
 """Batched array kernels behind the randomized trial loops of the suite.
 
 A 4-cell is compiled once into integer gather tables over the columns of a
-(trials x columns) float64 array.  Columns follow tuple(vertices(cell)), the
-order in which the scalar samplers draw, and every table is read off a
-structure the scalar code already builds: system_on_4cell, the facet chain,
-the corner table and the completion steps.  Each operation repeats its scalar
-counterpart operation for operation and in the same order, so draws,
-completions, margins, sign patterns and corner factors agree with the scalar
-functions bit for bit; only the logarithms (numpy's rather than the math
-module's) can move the last bits of the 3-form, of the corner residuals and
-of the finite differences.  The scalar functions stay the reference, and the
-errors keep their types: a singular value in any trial raises
-SingularFieldError, as the scalar loop would on that trial.
+(trials x columns) float64 array.  Columns follow tuple(vertices(cell)), and
+every table is read off a structure the scalar code already builds:
+system_on_4cell, the facet chain, the corner table and the completion steps.
+Each operation repeats its scalar counterpart operation for operation and in
+the same order, so completions, margins, sign patterns and corner factors
+agree with the scalar functions bit for bit; only the logarithms (numpy's
+rather than the math module's) can move the last bits of the 3-form, of the
+corner residuals and of the finite differences.  The scalar functions stay
+the reference, and the errors keep their types: a singular value in any
+trial raises SingularFieldError, as the scalar loop would on that trial.
 
-The samplers draw from _streams.Streams, one stream per trial, and reject
-in rounds: each round reads the next k candidates of every pending trial
-(k doubles from 1 each round), tests them all at once and keeps each trial's
-first accepted one.  The trial's stream then moves to just after that
-candidate, so its value and the draws that follow it are those of a
-one-at-a-time loop.
+_sample, the package's one rejection loop, draws from _streams.Streams, one
+stream per trial, and rejects in rounds: each round reads the next k
+candidates of every pending trial (k doubles from 1 each round), tests them
+all at once and keeps each trial's first accepted one.  The trial's stream
+then moves to just after that candidate, so its value and the draws that
+follow it are those of a one-at-a-time loop.  Its samplers, plain_fields and
+solutions, draw every random field on a cell or flower that the suite checks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,6 +78,13 @@ def _padded(rows: Sequence[Sequence[int]], fill: int) -> np.ndarray:
     return np.array(padded, dtype=np.intp).reshape(len(rows), width)
 
 
+def six_columns(points: Sequence[Point], cells: Iterable[OrientedCell]) -> np.ndarray:
+    """(n, 6) columns in `points` of each cell's six_points."""
+    column = {p: c for c, p in enumerate(points)}
+    rows = [[column[p] for p in six_points(c)] for c in cells]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), 6)
+
+
 @functools.lru_cache(maxsize=64)
 def tables(cell: OrientedCell) -> Tables:
     """Gather tables of a 4-ambo cell or 4D cube (both carry relations)."""
@@ -87,7 +94,6 @@ def tables(cell: OrientedCell) -> Tables:
     def cols(six: Sequence[Point]) -> list[int]:
         return [column[p] for p in six]
 
-    supports = system_on_4cell(cell)
     chain = facets(cell)
     forms = [
         (c, coeff) for c, coeff in chain.items()
@@ -123,8 +129,8 @@ def tables(cell: OrientedCell) -> Tables:
     return Tables(
         cell=cell,
         points=points,
-        supports=np.array([cols(six_points(s)) for s in supports], dtype=np.intp),
-        forms=np.array([cols(six_points(c)) for c, _ in forms], dtype=np.intp),
+        supports=six_columns(points, system_on_4cell(cell)),
+        forms=six_columns(points, (c for c, _ in forms)),
         form_half=np.array([0.5 * c.sign for c, _ in forms]),
         form_coeffs=np.array([coeff for _, coeff in forms]),
         triples=np.array([cols(t) for t in table.triples], dtype=np.intp),
@@ -189,13 +195,13 @@ def _chain_sum(terms: np.ndarray) -> np.ndarray:
 # --- batched operations -------------------------------------------------------
 
 
-def margins(tab: Tables, x: np.ndarray) -> np.ndarray:
-    """nonsingularity_margin over the relation supports, per trial."""
-    m = _monomials(x[:, tab.supports])
+def margins(supports: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """nonsingularity_margin over (S, 6) support columns per trial (inf if S = 0)."""
+    m = _monomials(x[:, supports])
     a, b = m[..., [0, 0, 1]], m[..., [1, 2, 2]]
     scale = np.abs(a) + np.abs(b)
     pair = np.minimum(np.abs(a - b) / scale, np.abs(a + b) / scale)
-    return pair.reshape(len(x), -1).min(axis=1)
+    return pair.reshape(len(x), -1).min(axis=1, initial=np.inf)
 
 
 def sign_patterns(tab: Tables, x: np.ndarray) -> np.ndarray:
@@ -330,7 +336,7 @@ def fd_actions(tab: Tables, x: np.ndarray) -> np.ndarray:
 def _sample(
     streams: Streams,
     draws: int,
-    make: Callable[[np.ndarray], np.ndarray],
+    make: Callable[[np.ndarray, np.ndarray], np.ndarray],
     accept: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     width: int,
     failure: str,
@@ -338,8 +344,9 @@ def _sample(
     """Rejection sampling over every trial's stream, drawing ahead.
 
     A candidate takes `draws` random() values of its trial's stream, which
-    `make` turns into a row.  Each round offers every pending trial its next
-    k candidates (k = 1, 2, 4, ...), evaluates `accept` on all of them at
+    `make` turns into a row; `make` also gets the index in `streams` of each
+    row's trial.  Each round offers every pending trial its next k
+    candidates (k = 1, 2, 4, ...), evaluates `accept` on all of them at
     once, keeps each trial's first accepted candidate and commits its stream
     to just after that candidate, so the trial keeps the value and the stream
     position of a one-at-a-time loop.  A round holds at most TRIAL_CHUNK
@@ -357,8 +364,8 @@ def _sample(
             )
         k = max(1, min(ahead, config.TRIAL_CHUNK // pending.size))
         k = min(k, config.MAX_REDRAWS - offered)
-        u = streams.peek(pending, k * draws)
-        candidates, ok = accept(make(u.reshape(pending.size * k, draws)))
+        u = streams.peek(pending, k * draws).reshape(pending.size * k, draws)
+        candidates, ok = accept(make(u, np.repeat(pending, k)))
         ok = ok.reshape(pending.size, k)
         hit = ok.any(axis=1)
         first = ok.argmax(axis=1)
@@ -373,21 +380,30 @@ def _sample(
 
 
 def _signed_values(u: np.ndarray) -> np.ndarray:
-    # The scalar sampler's values from consecutive pairs of draws: a magnitude
-    # uniform in [0.5, 2] and then a fair sign.
+    # Values from consecutive pairs of draws: a magnitude uniform in
+    # [0.5, 2] and then a fair sign.
     magnitude = 0.5 + 1.5 * u[:, 0::2]
     return np.where(u[:, 1::2] < 0.5, magnitude, -magnitude)
 
 
-def plain_fields(tab: Tables, streams: Streams, margin: float) -> np.ndarray:
-    """The fields _random_plain_field draws on the cell's vertices."""
-    n = len(tab.points)
+def plain_fields(
+    supports: np.ndarray, width: int, streams: Streams, margin: float,
+    fixed: np.ndarray | None = None,
+) -> np.ndarray:
+    """Fields on `width` columns whose margin over the (S, 6) support columns
+    is at least `margin` (any field without supports).  The leading columns
+    hold each trial's row of `fixed`; the others are drawn in column order."""
+    if fixed is None:
+        fixed = np.empty((len(streams), 0))
+
+    def make(u: np.ndarray, trials: np.ndarray) -> np.ndarray:
+        return np.concatenate([fixed[trials], _signed_values(u)], axis=1)
 
     def accept(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x, margins(tab, x) >= margin
+        return x, margins(supports, x) >= margin
 
     return _sample(
-        streams, 2 * n, _signed_values, accept, n,
+        streams, 2 * (width - fixed.shape[1]), make, accept, width,
         "could not draw a field with the requested margin",
     )
 
@@ -398,12 +414,13 @@ def solutions(
     margin: float,
     component: str,
 ) -> np.ndarray:
-    """The solutions _random_solution draws; columns off the completion
-    (the base and far corners of a 4D cube) hold NaN."""
+    """Completed IVP data, on the golden solution's sign-pattern component or
+    any; columns off the completion (the base and far corners of a 4D cube)
+    hold NaN."""
     n = len(tab.required)
     golden = component == "golden"
 
-    def make(u: np.ndarray) -> np.ndarray:
+    def make(u: np.ndarray, _trials: np.ndarray) -> np.ndarray:
         if golden:
             return tab.golden_signs * (0.5 + 1.5 * u)
         return _signed_values(u)
@@ -417,7 +434,7 @@ def solutions(
             ok &= np.abs(x[:, tab.completed]).min(axis=1) >= config.DRAW_FLOOR
             if golden:
                 ok &= np.all(sign_patterns(tab, x) == tab.golden_pattern, axis=(1, 2))
-            ok &= margins(tab, x) >= margin
+            ok &= margins(tab.supports, x) >= margin
         return x, ok
 
     return _sample(

@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--standard", choices=tuple(_STANDARD_FLOWERS), default=None,
         help="use a built-in full-star flower instead of a file",
     )
-    decomp.add_argument("--dim", type=int, default=config.DEFAULT_DIM)
+    decomp.add_argument("--dim", type=int, default=None)
     decomp.add_argument(
         "--vertex", default=None, help="flower center, e.g. '(0,0,0,0,0)'"
     )
@@ -191,11 +191,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if (args.flower is None) == (args.standard is None):
         raise ConfigError("give either a flower chain file or --standard")
-    if args.standard is not None and not 3 <= args.dim <= config.MAX_DIM:
-        raise ConfigError(f"--dim must be in [3, {config.MAX_DIM}], got {args.dim}")
     if args.standard is not None:
-        chain, center = LATTICES[_STANDARD_FLOWERS[args.standard]].star(args.dim)
+        if args.vertex is not None:
+            raise ConfigError("--vertex applies to a flower file, not to --standard")
+        dim = config.DEFAULT_DIM if args.dim is None else args.dim
+        if not 3 <= dim <= config.MAX_DIM:
+            raise ConfigError(f"--dim must be in [3, {config.MAX_DIM}], got {dim}")
+        chain, center = LATTICES[_STANDARD_FLOWERS[args.standard]].star(dim)
     else:
+        if args.dim is not None:
+            raise ConfigError("--dim applies to --standard, not to a flower file")
         with open(args.flower, "r", encoding="utf-8") as handle:
             chain = parse_chain(handle.read())
         if not chain:

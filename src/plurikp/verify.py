@@ -8,17 +8,16 @@ np.random.default_rng([seed, crc32(check id), t]) (_rng, the one seeding
 recipe), which makes suites bit-reproducible and independent of the order
 of trials.
 
-The randomized trial loops (corner and closure trials, gradients, negative
-control) run as batched kernels from _batch, over chunks of up to
-config.TRIAL_CHUNK trials so that memory does not grow with the trial count.
-A chunk's streams are _streams.Streams: the generators of _rng as uint64
-rows, drawn for every pending trial in one array operation.  Rejection
-sampling reads several candidates ahead per trial and then moves each stream
-to just after the candidate it keeps, so every trial draws the same field as
-the scalar samplers _random_solution and _random_plain_field and leaves its
-stream where they would.  The scalar functions remain the reference: they
-serve solve, the golden, el-sum and rank-probe checks, and the kernels are
-tested against them.
+Every random field comes from the samplers of _batch (plain_fields and
+solutions) over _streams.Streams, the generators of _rng as uint64 rows: the
+trial loops (corner and closure trials, gradients, negative control), the
+el-sum fields and their extensions, and the rank probes' solutions.  Trials
+run in chunks of up to config.TRIAL_CHUNK, so memory does not grow with the
+trial count.  The trial loops evaluate on the _batch kernels; the golden,
+el-sum and rank-probe checks and `plurikp solve` evaluate with the scalar
+functions (classify_branch, three_form, exterior_derivative, corner_residual,
+the finite differences), which are also the reference the kernels are tested
+against.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 import operator
 import zlib
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,8 +47,9 @@ from .cells import (
     flower,
     vertices,
 )
-# skew_dilog and corner_product are no longer called here, but stay bound:
-# the benchmark's tracer wraps verify.skew_dilog and verify.corner_product.
+# skew_dilog, corner_product, solve_ambo_ivp, solve_cube_ivp,
+# nonsingularity_margin and monomial_sign_pattern are no longer called here,
+# but stay bound: the benchmark's tracer wraps verify.<name> for each of them.
 from .dilog import skew_dilog, skew_dilog_array, special_value_table
 from .dkp import (
     Branch,
@@ -58,8 +58,6 @@ from .dkp import (
     _relative,
     dkp_residual,
     golden_field,
-    golden_sign_pattern,
-    golden_solution,
     ivp_points,
     monomial_sign_pattern,
     nonsingularity_margin,
@@ -72,9 +70,9 @@ from .errors import (
     BranchError,
     ConfigError,
     InconclusiveBranchError,
+    MissingVertexError,
     NoCornerEquationError,
     PluriKPError,
-    SingularFieldError,
 )
 from .lagrangian import (
     _corner_from,
@@ -247,70 +245,16 @@ def _rng(cfg: SuiteConfig, check_id: str, trial: int) -> np.random.Generator:
 # --- random data -------------------------------------------------------------
 
 
-def _draw_value(rng: np.random.Generator) -> float:
-    magnitude = float(rng.uniform(0.5, 2.0))
-    return magnitude if rng.random() < 0.5 else -magnitude
-
-
-def _draw_field(rng: np.random.Generator, points: Iterable[Point]) -> Field:
-    return {tuple(p): _draw_value(rng) for p in points}
-
-
 def _random_solution(
-    rng: np.random.Generator,
+    cfg: SuiteConfig,
+    check_id: str,
     cell4: OrientedCell,
     margin: float = _SOLUTION_MARGIN,
-    component: str = "any",
 ) -> Field:
-    """Seven- or nine-point completion redrawn until comfortably nonsingular.
-
-    component="golden" restricts the draw to the connected component of the
-    constant solution (identified by its monomial sign pattern), where the
-    closure constants take their reference values.  component="any" leaves
-    the sign pattern of the initial data free.
-    """
-    required, _ = ivp_points(cell4)
-    solve = solve_cube_ivp if cell4.kind is CellKind.CUBE4 else solve_ambo_ivp
-    supports = system_on_4cell(cell4)
-    target = golden_sign_pattern(cell4) if component == "golden" else None
-    if target is not None:
-        reference = golden_solution(cell4)
-        signs = [math.copysign(1.0, reference[p]) for p in required]
-    for _ in range(config.MAX_REDRAWS):
-        if target is None:
-            data = _draw_field(rng, required)
-        else:
-            data = {
-                p: s * float(rng.uniform(0.5, 2.0))
-                for p, s in zip(required, signs)
-            }
-        try:
-            solution = solve(cell4, data)
-        except SingularFieldError:
-            continue
-        if min(abs(v) for v in solution.values()) < config.DRAW_FLOOR:
-            continue
-        if target is not None and monomial_sign_pattern(solution, cell4) != target:
-            continue
-        if nonsingularity_margin(solution, supports) < margin:
-            continue
-        return solution
-    raise SingularFieldError("could not draw a nonsingular solution")
-
-
-def _random_plain_field(
-    rng: np.random.Generator,
-    points: Iterable[Point],
-    supports: Iterable[OrientedCell],
-    margin: float,
-) -> Field:
-    points = tuple(points)
-    supports = tuple(supports)
-    for _ in range(config.MAX_REDRAWS):
-        candidate = _draw_field(rng, points)
-        if not supports or nonsingularity_margin(candidate, supports) >= margin:
-            return candidate
-    raise SingularFieldError("could not draw a field with the requested margin")
+    """Trial 0 of a check's random solutions (any component) on a 4-cell."""
+    tab = _batch.tables(cell4)
+    (row,) = _batch.solutions(tab, Streams(cfg.seed, check_id, [0]), margin, "any")
+    return {p: v for p, v in zip(tab.points, row.tolist()) if not math.isnan(v)}
 
 
 def _relation_supports(cell4: OrientedCell) -> tuple[OrientedCell, ...]:
@@ -424,31 +368,67 @@ def _fd_action(
 class _CornerFrame:
     """The field-independent half of an EL-sum case at one flower center."""
 
+    points: tuple[Point, ...]  # the flower's vertices: the columns of its fields
+    star_supports: np.ndarray  # (S, 6) columns of its octahedra and 3D cubes
     pairs: tuple[tuple[OrientedCell, Point], ...]  # decompose_flower's corners
-    pad: Point  # zeros appended to every point, one per auxiliary direction
+    padded_vertex: Point  # the center, with one zero per auxiliary direction
     padded_star: Chain
-    needed: frozenset[Point]  # every vertex of the corner 4-cells
-    supports: tuple[OrientedCell, ...]  # their relation supports
+    # The padded points, then the corners' other vertices in sorted order.
+    columns: tuple[Point, ...]
+    supports: np.ndarray  # (S', 6) columns of the corners' relation supports
 
 
 def _corner_frame(manifold: Chain, vertex: Point) -> _CornerFrame:
-    """Flower, corners and padding at a vertex, built once per chain and kept
-    on it: the suite checks each flower under several fields."""
+    """Flower, corners, padding and sampling columns at a vertex, built once
+    per chain and kept on it: the suite checks each flower under several
+    fields."""
 
     def build() -> _CornerFrame:
         star = flower(manifold, vertex)
+        star_points: set[Point] = set()
+        for cell in star.cells():
+            star_points.update(vertices(cell))
+        points = tuple(star_points)
         pairs = tuple(decompose_flower(star, vertex))
         pad = (0,) * LATTICES[star.cells()[0].family].aux
+        padded = tuple(p + pad for p in points)
         needed: set[Point] = set()
-        supports: list[OrientedCell] = []
         for cell4, _ in pairs:
             needed.update(vertices(cell4))
-            supports.extend(_relation_supports(cell4))
+        columns = padded + tuple(sorted(needed - set(padded)))
+        relations = (CellKind.OCTAHEDRON, CellKind.CUBE3)
+        star_supports = [c for c in star.cells() if c.kind in relations]
+        supports = [s for cell4, _ in pairs for s in _relation_supports(cell4)]
         return _CornerFrame(
-            pairs, pad, star.padded(len(pad)), frozenset(needed), tuple(supports)
+            points, _batch.six_columns(points, star_supports), pairs, vertex + pad,
+            star.padded(len(pad)), columns, _batch.six_columns(columns, supports),
         )
 
     return manifold.memo(("corner-frame", vertex), build)
+
+
+def _el_sum_gaps(
+    frame: _CornerFrame, seed: int, star: np.ndarray, trials: Sequence[int]
+) -> list[float]:
+    """|flower action gradient - corner residual sum| at the center, per
+    trial: the flower takes the trial's row of `star`, the corners' other
+    vertices values drawn from its "el-sum-extension" stream."""
+    streams = Streams(seed, "el-sum-extension", trials)
+    rows = _batch.plain_fields(
+        frame.supports, len(frame.columns), streams, _EXTENSION_MARGIN, fixed=star
+    )
+    gaps = []
+    for row in rows.tolist():
+        field = dict(zip(frame.columns, row))
+        lhs = _fd_action(field, frame.padded_star, frame.padded_vertex)
+        rhs = 0.0
+        for cell4, center in frame.pairs:
+            try:
+                rhs += corner_residual(field, cell4, center)
+            except NoCornerEquationError:
+                continue
+        gaps.append(abs(lhs - rhs))
+    return gaps
 
 
 def check_euler_lagrange_sum(
@@ -460,38 +440,26 @@ def check_euler_lagrange_sum(
 ) -> CheckRecord:
     """Compare the action gradient at a flower center with the corner sum.
 
-    The flower is decomposed into 4D corners over auxiliary directions; the
-    auxiliary vertices get seeded random values, which cannot change the sum
-    because their cells cancel in chains.  The left side is a central finite
-    difference of the flower action, the right side the sum of analytic
-    corner residuals.
+    The flower is decomposed into 4D corners over auxiliary directions.  The
+    field must hold a value at every vertex of the flower (MissingVertexError
+    otherwise); the corners' other vertices get seeded random values (trial
+    `extension_seed` of the "el-sum-extension" streams), which cannot change
+    the sum because their cells cancel in chains.  The left side is a central
+    finite difference of the flower action, the right side the sum of
+    analytic corner residuals.
     """
     cfg = cfg or SuiteConfig()
     cfg.validate()
-    vertex = tuple(vertex)
-    frame = _corner_frame(manifold, vertex)
-    padded_vertex = vertex + frame.pad
-    padded_field: Field = {p + frame.pad: float(v) for p, v in field.items()}
-
-    missing = sorted(frame.needed - set(padded_field))
-    rng = _rng(cfg, "el-sum-extension", extension_seed)
-    for _ in range(config.MAX_REDRAWS):
-        trial_field = dict(padded_field)
-        trial_field.update(_draw_field(rng, missing))
-        if nonsingularity_margin(trial_field, frame.supports) >= _EXTENSION_MARGIN:
-            padded_field = trial_field
-            break
-    else:
-        raise SingularFieldError("no nonsingular extension found for the corner sum")
-
-    lhs = _fd_action(padded_field, frame.padded_star, padded_vertex)
-    rhs = 0.0
-    for cell4, center in frame.pairs:
-        try:
-            rhs += corner_residual(padded_field, cell4, center)
-        except NoCornerEquationError:
-            continue
-    return _record(cfg, "el-sum", abs(lhs - rhs), 0.0, "el_sum")
+    trial = _integer_setting("extension_seed", extension_seed)
+    if not 0 <= trial < 2**64:
+        raise ConfigError(f"extension_seed must be in [0, 2**64), got {trial}")
+    frame = _corner_frame(manifold, tuple(vertex))
+    missing = [p for p in frame.points if p not in field]
+    if missing:
+        raise MissingVertexError(f"no field value at flower vertex {missing[0]}")
+    star = np.array([[float(field[p]) for p in frame.points]])
+    (gap,) = _el_sum_gaps(frame, cfg.seed, star, [trial])
+    return _record(cfg, "el-sum", gap, 0.0, "el_sum")
 
 
 # --- rank probes ---------------------------------------------------------------
@@ -518,8 +486,7 @@ def _jacobian(
 def cube_freedom_probe(cfg: SuiteConfig) -> tuple[int, int]:
     """(free vertex count, rank of the solved columns) for the 4D-cube system."""
     cell = LATTICES["cubic"].cell(CellKind.CUBE4, cfg.dim)
-    rng = _rng(cfg, "cube-ivp-freedom", 0)
-    solution = _random_solution(rng, cell)
+    solution = _random_solution(cfg, "cube-ivp-freedom", cell)
     points = sorted(solution)
     functions = [
         (lambda f, s=s: dkp_residual(f, s)) for s in system_on_4cell(cell)
@@ -535,8 +502,7 @@ def cube_freedom_probe(cfg: SuiteConfig) -> tuple[int, int]:
 def ambo_corner_rank_probe(cfg: SuiteConfig) -> int:
     """Numeric Jacobian rank of the ten corner equations at a random solution."""
     cell = LATTICES["qan"].cell(CellKind.BLACK_AMBO4, cfg.dim)
-    rng = _rng(cfg, "info-ambo-corner-rank", 0)
-    solution = _random_solution(rng, cell, margin=0.01)
+    solution = _random_solution(cfg, "info-ambo-corner-rank", cell, margin=0.01)
     points = sorted(solution)
     functions = [
         (lambda f, v=v: corner_residual(f, cell, v)) for v in corner_vertices(cell)
@@ -622,12 +588,14 @@ def _closure_value_set(cell: OrientedCell) -> tuple[float, ...]:
     return (-PI2_4, PI2_4)
 
 
-def _trial_chunks(cfg: SuiteConfig, check_id: str) -> Iterator[Streams]:
-    """The trials' streams (those of _rng) in consecutive chunks of at most
-    TRIAL_CHUNK."""
-    for start in range(0, cfg.trials, config.TRIAL_CHUNK):
-        stop = min(start + config.TRIAL_CHUNK, cfg.trials)
-        yield Streams(cfg.seed, check_id, range(start, stop))
+def _trial_chunks(
+    cfg: SuiteConfig, check_id: str, trials: range | None = None
+) -> Iterator[Streams]:
+    """The streams (those of _rng) of the trials, range(cfg.trials) unless
+    given, in consecutive chunks of at most TRIAL_CHUNK."""
+    trials = range(cfg.trials) if trials is None else trials
+    for start in range(0, len(trials), config.TRIAL_CHUNK):
+        yield Streams(cfg.seed, check_id, trials[start : start + config.TRIAL_CHUNK])
 
 
 def _solution_trials(cell: OrientedCell, streams: Streams) -> np.ndarray:
@@ -723,7 +691,9 @@ def _gradient_gap(cfg: SuiteConfig, cell: OrientedCell, check_id: str) -> float:
     tab = _batch.tables(cell)
     worst = 0.0
     for streams in _trial_chunks(cfg, check_id):
-        field = _batch.plain_fields(tab, streams, config.FD_MARGIN)
+        field = _batch.plain_fields(
+            tab.supports, len(tab.points), streams, config.FD_MARGIN
+        )
         gaps = np.abs(
             _batch.corner_residuals(tab, field) - _batch.fd_actions(tab, field)
         )
@@ -853,22 +823,14 @@ def _check_el_sum(cfg: SuiteConfig) -> list[CheckRecord]:
     cases.append((f"el-sum-star-{lattice.name}", star, center))
     worst_by_id: dict[str, float] = {}
     for case_index, (check_id, manifold, vertex) in enumerate(cases):
-        star = flower(manifold, vertex)
-        supports = [
-            cell for cell in star.cells()
-            if cell.kind in (CellKind.OCTAHEDRON, CellKind.CUBE3)
-        ]
-        points = set()
-        for cell in star.cells():
-            points.update(vertices(cell))
+        frame = _corner_frame(manifold, vertex)
         worst = worst_by_id.get(check_id, 0.0)
-        for trial in range(min(cfg.trials, 8)):
-            rng = _rng(cfg, check_id, 1000 * case_index + trial)
-            field = _random_plain_field(rng, points, supports, config.FD_MARGIN)
-            row = check_euler_lagrange_sum(
-                manifold, vertex, field, cfg, extension_seed=1000 * case_index + trial
+        trials = range(1000 * case_index, 1000 * case_index + min(cfg.trials, 8))
+        for streams in _trial_chunks(cfg, check_id, trials):
+            star = _batch.plain_fields(
+                frame.star_supports, len(frame.points), streams, config.FD_MARGIN
             )
-            worst = max(worst, row.observed)
+            worst = max(worst, *_el_sum_gaps(frame, cfg.seed, star, streams.trials))
         worst_by_id[check_id] = worst
     for check_id, worst in worst_by_id.items():
         records.append(_record(cfg, check_id, worst, 0.0, "el_sum"))
@@ -880,7 +842,9 @@ def _check_negative_control(cfg: SuiteConfig) -> list[CheckRecord]:
     tab = _batch.tables(cell)
     failures = 0
     for streams in _trial_chunks(cfg, "negative-control"):
-        field = _batch.plain_fields(tab, streams, config.DRAW_FLOOR)
+        field = _batch.plain_fields(
+            tab.supports, len(tab.points), streams, config.DRAW_FLOOR
+        )
         # A gray-zone trial counts as a failure to reject, like a branch label.
         report = _batch.classify(tab, field, allow_gray=True)
         failures += int(np.sum(report.branch != _batch.NEITHER))

@@ -47,10 +47,9 @@ from plurikp.verify import (
     classify_branch,
     corner_vertices,
     _fd_action,
-    _random_plain_field,
-    _random_solution,
     _relation_supports,
 )
+from samplers import _random_plain_field, _random_solution
 
 PI2_4 = math.pi**2 / 4.0
 PI2_20 = math.pi**2 / 20.0

@@ -5,7 +5,7 @@ import pytest
 
 from plurikp import _batch, config
 from plurikp._streams import Streams
-from plurikp.cells import CellKind, OrientedCell, facets, vertices
+from plurikp.cells import CellKind, OrientedCell, facets, flower, vertices
 from plurikp.dkp import (
     Branch,
     golden_field,
@@ -20,16 +20,17 @@ from plurikp.dkp import (
 from plurikp.errors import InconclusiveBranchError, SingularFieldError
 from plurikp.lagrangian import corner_residual, exterior_derivative
 from plurikp.verify import (
+    _EXTENSION_MARGIN,
     SuiteConfig,
+    _corner_frame,
     _fd_action,
     _nonzero_draws,
-    _random_plain_field,
-    _random_solution,
     _relation_supports,
     _rng,
     classify_branch,
     corner_vertices,
 )
+from samplers import _draw_field, _extended_field, _random_plain_field, _random_solution
 
 TRIALS = 30
 _SHIFTED_QAN = (1, -2, 0, 3, 0, 1, 2)
@@ -73,8 +74,9 @@ def _samples(cell):
     tab = _batch.tables(cell)
     golden = _batch.solutions(tab, _streams(1), 1e-5, "golden")
     free = _batch.solutions(tab, _streams(2), 1e-5, "any")
-    plain = _batch.plain_fields(tab, _streams(3), config.FD_MARGIN)
-    loose = _batch.plain_fields(tab, _streams(4), config.DRAW_FLOOR)
+    n = len(tab.points)
+    plain = _batch.plain_fields(tab.supports, n, _streams(3), config.FD_MARGIN)
+    loose = _batch.plain_fields(tab.supports, n, _streams(4), config.DRAW_FLOOR)
     return tab, [golden, 1.0 / golden, free, plain, loose]
 
 
@@ -150,7 +152,7 @@ def test_margins_patterns_and_reports_match_bit_for_bit(cell):
     tab, fields = _samples(cell)
     supports = system_on_4cell(cell)
     for x in fields:
-        margins = _batch.margins(tab, x)
+        margins = _batch.margins(tab.supports, x)
         patterns = _batch.sign_patterns(tab, x)
         _, factors = _batch.corner_products(tab, x)
         report = _batch.classify(tab, x, allow_gray=True)
@@ -244,7 +246,7 @@ def test_exhausted_redraws_raise_singular_field_error(black_ambo, monkeypatch):
     with pytest.raises(
         SingularFieldError, match=r"check 'corner-x', trial 3, after 4 draws"
     ):
-        _batch.plain_fields(tab, streams, 1.0)
+        _batch.plain_fields(tab.supports, len(tab.points), streams, 1.0)
     with pytest.raises(
         SingularFieldError,
         match=r"nonsingular solution: check 'corner-x', trial 3, after 4 draws",
@@ -257,10 +259,82 @@ def test_exhausted_redraws_raise_singular_field_error(black_ambo, monkeypatch):
         )
 
 
+def _el_sum_case(cell, corner):
+    """The corner frame of a 4-cell boundary flower and its support cells."""
+    vertex = sorted(vertices(cell))[corner]
+    frame = _corner_frame(facets(cell), vertex)
+    star = flower(facets(cell), vertex)
+    star_supports = [
+        c for c in star.cells() if c.kind in (CellKind.OCTAHEDRON, CellKind.CUBE3)
+    ]
+    supports = [s for cell4, _ in frame.pairs for s in _relation_supports(cell4)]
+    return frame, star_supports, supports
+
+
+_EL_SUM_CELLS = [
+    (OrientedCell(CellKind.BLACK_AMBO4, (0,) * 5, (0, 1, 2, 3, 4)), 0),
+    (OrientedCell(CellKind.WHITE_AMBO4, (0,) * 5, (0, 1, 2, 3, 4)), 5),
+    (OrientedCell(CellKind.CUBE4, (0,) * 4, (0, 1, 2, 3)), 8),
+    (OrientedCell(CellKind.BLACK_SIMPLEX4, (0,) * 5, (0, 1, 2, 3, 4)), 2),
+]
+
+
+@pytest.mark.parametrize("margin", [_EXTENSION_MARGIN, 0.02])
+@pytest.mark.parametrize(
+    "cell, corner", _EL_SUM_CELLS, ids=[c.kind.value for c, _ in _EL_SUM_CELLS]
+)
+def test_fixed_columns_extend_as_the_scalar_loop_does(cell, corner, margin):
+    frame, star_supports, supports = _el_sum_case(cell, corner)
+    trials = range(1000, 1000 + TRIALS)
+    star = _batch.plain_fields(
+        frame.star_supports, len(frame.points),
+        Streams(3, "el-sum-x", trials), config.FD_MARGIN,
+    )
+    extended = _batch.plain_fields(
+        frame.supports, len(frame.columns), Streams(3, "el-sum-extension", trials),
+        margin, fixed=star,
+    )
+    cfg = SuiteConfig(seed=3)
+    missing = frame.columns[len(frame.points) :]
+    redrawn = 0
+    for t, trial in enumerate(trials):
+        field = _random_plain_field(
+            _rng(cfg, "el-sum-x", trial), frame.points, star_supports, config.FD_MARGIN
+        )
+        assert dict(zip(frame.points, star[t].tolist())) == field
+        # The leading columns are the flower's points, padded.
+        padded = {p: field[q] for p, q in zip(frame.columns, frame.points)}
+        rng = _rng(cfg, "el-sum-extension", trial)
+        assert dict(zip(frame.columns, extended[t].tolist())) == _extended_field(
+            rng, padded, missing, supports, margin
+        )
+        first = {**padded, **_draw_field(_rng(cfg, "el-sum-extension", trial), missing)}
+        redrawn += nonsingularity_margin(first, supports) < margin
+    if cell.kind is CellKind.BLACK_SIMPLEX4:
+        # No relation anywhere: every first candidate is kept.
+        assert not star_supports and not supports and not frame.supports.size
+        assert redrawn == 0
+    elif margin > _EXTENSION_MARGIN:
+        assert redrawn > 0
+
+
+def test_fixed_columns_exhausted_error_names_check_and_trial(monkeypatch):
+    monkeypatch.setattr(config, "MAX_REDRAWS", 3)
+    frame, _, _ = _el_sum_case(_CELLS[0], 0)
+    star = np.ones((3, len(frame.points)))
+    streams = Streams(7, "el-sum-extension", [1005, 1001, 1003])
+    with pytest.raises(
+        SingularFieldError,
+        match=r"check 'el-sum-extension', trial 1001, after 3 draws",
+    ):
+        # A margin of 1 needs a vanishing monomial, which no draw gives.
+        _batch.plain_fields(frame.supports, len(frame.columns), streams, 1.0, star)
+
+
 def _one_at_a_time(rng, draws, make, accept, limit):
     """The scalar rejection loop: one candidate per draw, up to `limit`."""
     for _ in range(limit):
-        row, ok = accept(make(rng.random((1, draws))))
+        row, ok = accept(make(rng.random((1, draws)), np.zeros(1, np.intp)))
         if ok[0]:
             return row[0]
     raise SingularFieldError("exhausted")
@@ -275,7 +349,7 @@ def _scripted_accept(threshold):
 def test_draw_ahead_keeps_values_and_stream_positions(threshold):
     count, draws = 64, 3
     streams = _streams(8, count)
-    make = lambda u: 2.0 * u  # noqa: E731
+    make = lambda u, _trials: 2.0 * u  # noqa: E731
     accept = _scripted_accept(threshold)
     out = _batch._sample(streams, draws, make, accept, draws, "failed")
     # A second sampler continues each stream where the first one left it.
@@ -292,7 +366,7 @@ def test_draw_ahead_keeps_values_and_stream_positions(threshold):
 @pytest.mark.parametrize("limit", [1, 5, 12])
 def test_draw_ahead_raises_where_the_one_at_a_time_loop_does(limit, monkeypatch):
     monkeypatch.setattr(config, "MAX_REDRAWS", limit)
-    count, make, accept = 40, (lambda u: u), _scripted_accept(0.05)
+    count, make, accept = 40, (lambda u, _trials: u), _scripted_accept(0.05)
     exhausted = []
     for t, rng in enumerate(_rngs(9, count)):
         try:
@@ -325,7 +399,7 @@ def test_no_round_evaluates_more_than_trial_chunk_rows(chunk, monkeypatch):
         return x, x[:, 0] < 0.1
 
     count = max(1, chunk // 3)
-    _batch._sample(_streams(10, count), 2, lambda u: u, accept, 2, "failed")
+    _batch._sample(_streams(10, count), 2, lambda u, _: u, accept, 2, "failed")
     assert sizes and max(sizes) <= chunk
     # Drawing ahead used the room it had once few trials were left.
     assert chunk == 1 or max(sizes) > count

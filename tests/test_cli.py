@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from plurikp import config
 from plurikp.cells import CellKind, OrientedCell
 from plurikp.cli import main
 from plurikp.dkp import (
@@ -240,6 +241,30 @@ def test_decompose_needs_vertex_with_file(tmp_path):
     chain_file = tmp_path / "flower.chain"
     chain_file.write_text("")
     assert main(["decompose", str(chain_file)]) == 2
+
+
+def test_decompose_standard_defaults_to_the_default_dim(capsys):
+    assert main(["decompose", "--standard", "qa3"]) == 0
+    default = capsys.readouterr().out
+    dim = str(config.DEFAULT_DIM)
+    assert main(["decompose", "--standard", "qa3", "--dim", dim]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_decompose_refuses_a_vertex_with_standard(capsys):
+    code = main(["decompose", "--standard", "qa3", "--dim", "4", "--vertex", "(9,9)"])
+    assert code == 2
+    assert "--vertex" in capsys.readouterr().err
+
+
+def test_decompose_refuses_a_dim_with_a_flower_file(tmp_path, capsys):
+    from plurikp.cells import format_chain, qan_point_flower
+
+    chain_file = tmp_path / "flower.chain"
+    chain_file.write_text(format_chain(qan_point_flower((0,) * 4, range(4))) + "\n")
+    code = main(["decompose", str(chain_file), "--vertex", "(0,0,0,0)", "--dim", "3"])
+    assert code == 2
+    assert "--dim" in capsys.readouterr().err
 
 
 def test_dilog_test_prints_table(capsys):

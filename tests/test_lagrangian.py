@@ -39,11 +39,10 @@ from plurikp.lagrangian import (
 )
 from plurikp.verify import (
     _fd_action,
-    _random_plain_field,
-    _random_solution,
     _relation_supports,
     corner_vertices,
 )
+from samplers import _random_plain_field, _random_solution
 
 Z5 = (0, 0, 0, 0, 0)
 Z4 = (0, 0, 0, 0)

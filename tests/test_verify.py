@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plurikp.cells import corner, facets, qan_point_flower, vertices
+from plurikp.cells import corner, facets, flower, qan_point_flower, vertices
 from plurikp.dkp import (
     Branch,
     golden_cube_field,
@@ -17,6 +18,7 @@ from plurikp.dkp import (
 from plurikp.errors import (
     ConfigError,
     InconclusiveBranchError,
+    MissingVertexError,
 )
 from plurikp.verify import (
     SuiteConfig,
@@ -26,12 +28,12 @@ from plurikp.verify import (
     corner_vertices,
     cube_freedom_probe,
     run_suite,
-    _random_plain_field,
-    _random_solution,
     _relation_supports,
     _rng,
 )
 from plurikp import _batch, config
+from plurikp._streams import Streams
+from samplers import _random_plain_field, _random_solution
 
 PI2_4 = math.pi**2 / 4.0
 
@@ -131,24 +133,28 @@ def test_suite_deterministic():
     assert first.all_passed
 
 
+_PROBES = {"info-ambo-corner-rank", "cube-ivp-freedom"}
+
+
 @pytest.mark.parametrize("lattice", ["qan", "cubic"])
 def test_suite_runs_trials_in_chunks_with_unchanged_records(lattice, monkeypatch):
     cfg = SuiteConfig(lattice=lattice, dim=4, trials=12, seed=11)
     whole = run_suite(cfg).records
-    sizes = []
+    calls = []
 
     def spying(sampler):
-        def wrapped(tab, rngs, *args):
-            sizes.append(len(rngs))
-            return sampler(tab, rngs, *args)
+        def wrapped(*args, **kwargs):
+            streams = next(a for a in args if isinstance(a, Streams))
+            calls.append((streams.check_id, len(streams)))
+            return sampler(*args, **kwargs)
 
         return wrapped
 
     rows = []
 
-    def counting(tab, x):
+    def counting(supports, x):
         rows.append(len(x))
-        return margins(tab, x)
+        return margins(supports, x)
 
     margins = _batch.margins
     monkeypatch.setattr(config, "TRIAL_CHUNK", 5)
@@ -157,7 +163,15 @@ def test_suite_runs_trials_in_chunks_with_unchanged_records(lattice, monkeypatch
     # Every sampler round ends in margins on all of its candidate rows.
     monkeypatch.setattr(_batch, "margins", counting)
     assert run_suite(cfg).records == whole
-    assert sizes and set(sizes) == {5, 2}
+
+    def sizes(group):
+        return {n for check_id, n in calls if group(check_id)}
+
+    # The trial loops run 12 trials, el-sum min(12, 8) per case and its
+    # extensions as many; each rank probe takes one trial.
+    assert sizes(lambda c: c not in _PROBES and not c.startswith("el-sum")) == {5, 2}
+    assert sizes(lambda c: c.startswith("el-sum")) == {5, 3}
+    assert sizes(lambda c: c in _PROBES) == {1}
     assert rows and max(rows) <= 5
 
 
@@ -246,12 +260,36 @@ def test_config_validation_refuses_inexact_integers(setting):
         bad.validate()
 
 
+@pytest.mark.parametrize("drop", ["center", "other"])
+def test_el_sum_refuses_a_field_missing_a_flower_vertex(black_ambo, rng, drop):
+    vertex = corner_vertices(black_ambo)[3]
+    field = _random_plain_field(
+        rng, vertices(black_ambo), _relation_supports(black_ambo), config.FD_MARGIN
+    )
+    star = flower(facets(black_ambo), vertex)
+    star_points = set().union(*map(vertices, star.cells()))
+    gone = vertex if drop == "center" else max(star_points - {vertex})
+    assert check_euler_lagrange_sum(facets(black_ambo), vertex, field).passed
+    del field[gone]
+    with pytest.raises(MissingVertexError, match=re.escape(str(gone))):
+        check_euler_lagrange_sum(facets(black_ambo), vertex, field)
+
+
 def test_euler_lagrange_sum_validates_its_config():
     center = (0,) * 5
     star = qan_point_flower(center, range(4))
     field = dict.fromkeys(set().union(*map(vertices, star.cells())), 1.0)
     with pytest.raises(ConfigError, match="seed"):
         check_euler_lagrange_sum(star, center, field, SuiteConfig(seed=7.5))
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, "3", True, 2**64])
+def test_euler_lagrange_sum_refuses_a_bad_extension_seed(bad):
+    center = (0,) * 5
+    star = qan_point_flower(center, range(4))
+    field = dict.fromkeys(set().union(*map(vertices, star.cells())), 1.0)
+    with pytest.raises(ConfigError, match="extension_seed"):
+        check_euler_lagrange_sum(star, center, field, extension_seed=bad)
 
 
 def test_config_validation_accepts_numpy_integers():
@@ -277,6 +315,28 @@ def test_rank_probes():
     free, solved_rank = cube_freedom_probe(SuiteConfig(lattice="cubic"))
     assert free == 9
     assert solved_rank == 5
+
+
+@pytest.mark.parametrize("seed", [7, 2024, 2**32 + 5])
+@pytest.mark.parametrize(
+    "cell_name, check_id, margin",
+    [
+        ("black_ambo", "info-ambo-corner-rank", 0.01),
+        ("cube4", "cube-ivp-freedom", 1e-5),
+    ],
+)
+def test_random_solution_is_trial_zero_of_the_scalar_sampler(
+    request, cell_name, check_id, margin, seed
+):
+    import plurikp.verify as verify_module
+
+    cell = request.getfixturevalue(cell_name)
+    cfg = SuiteConfig(seed=seed)
+    drawn = verify_module._random_solution(cfg, check_id, cell, margin)
+    scalar = _random_solution(_rng(cfg, check_id, 0), cell, margin)
+    assert {p: v.hex() for p, v in drawn.items()} == {
+        p: v.hex() for p, v in scalar.items()
+    }
 
 
 def test_closure_constant_depends_on_component(black_ambo):
@@ -369,7 +429,7 @@ def test_suite_matches_records_at_other_dims_exactly(key):
 def test_el_sum_decomposes_each_case_once(lattice, cases, monkeypatch):
     import plurikp.verify as verify_module
 
-    calls = {"decompose": 0, "check": 0}
+    calls = {"decompose": 0, "gaps": 0, "trials": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -377,18 +437,21 @@ def test_el_sum_decomposes_each_case_once(lattice, cases, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def gaps(frame, seed, star, trials):
+        calls["trials"] += len(trials)
+        return el_sum_gaps(frame, seed, star, trials)
+
+    el_sum_gaps = verify_module._el_sum_gaps
     # Cached facet chains carry their corner frames; start from fresh ones.
     facets.cache_clear()
     monkeypatch.setattr(
         verify_module, "decompose_flower",
         counting("decompose", verify_module.decompose_flower),
     )
-    monkeypatch.setattr(
-        verify_module, "check_euler_lagrange_sum",
-        counting("check", verify_module.check_euler_lagrange_sum),
-    )
+    monkeypatch.setattr(verify_module, "_el_sum_gaps", counting("gaps", gaps))
     verify_module._check_el_sum(SuiteConfig(lattice=lattice, dim=4, trials=8, seed=3))
-    assert calls == {"decompose": cases, "check": 8 * cases}
+    # One decomposition and one batched call of all eight trials per case.
+    assert calls == {"decompose": cases, "gaps": cases, "trials": 8 * cases}
 
 
 @pytest.mark.parametrize("lattice", ["qan", "cubic"])
@@ -396,24 +459,36 @@ def test_el_sum_alone_matches_the_suite_bit_for_bit(lattice, monkeypatch):
     import plurikp.verify as verify_module
     from plurikp.cells import Chain
 
-    seen = []
-    public = verify_module.check_euler_lagrange_sum
+    frames, seen = {}, []
+    corner_frame, el_sum_gaps = verify_module._corner_frame, verify_module._el_sum_gaps
 
-    def recording(manifold, vertex, field, cfg, extension_seed):
-        record = public(manifold, vertex, field, cfg, extension_seed=extension_seed)
-        seen.append((manifold, vertex, dict(field), cfg, extension_seed, record))
-        return record
+    def framing(manifold, vertex):
+        frame = corner_frame(manifold, vertex)
+        frames[id(frame)] = (manifold, vertex)
+        return frame
 
-    monkeypatch.setattr(verify_module, "check_euler_lagrange_sum", recording)
+    def recording(frame, seed, star, trials):
+        gaps = el_sum_gaps(frame, seed, star, trials)
+        manifold, vertex = frames[id(frame)]
+        for row, trial, gap in zip(star.tolist(), trials, gaps):
+            field = dict(zip(frame.points, row))
+            seen.append((manifold, vertex, field, trial, gap))
+        return gaps
+
+    monkeypatch.setattr(verify_module, "_corner_frame", framing)
+    monkeypatch.setattr(verify_module, "_el_sum_gaps", recording)
     cfg = SuiteConfig(lattice=lattice, dim=4, trials=8, seed=2024)
     records = {r.check_id: r for r in verify_module._check_el_sum(cfg)}
     assert len(seen) == 8 * (9 if lattice == "qan" else 3)
+    monkeypatch.undo()
     by_manifold: dict[int, list[float]] = {}
-    for manifold, vertex, field, cfg_, seed, inside in seen:
+    for manifold, vertex, field, trial, inside in seen:
         # A copy of the manifold has no corner frame yet: the work is redone.
-        alone = public(Chain(manifold.items()), vertex, field, cfg_, extension_seed=seed)
-        assert alone.observed.hex() == inside.observed.hex()
-        by_manifold.setdefault(id(manifold), []).append(inside.observed)
+        alone = check_euler_lagrange_sum(
+            Chain(manifold.items()), vertex, field, cfg, extension_seed=trial
+        )
+        assert alone.observed.hex() == inside.hex()
+        by_manifold.setdefault(id(manifold), []).append(inside)
     # One manifold per check id: a 4-cell boundary (two centers) or the star.
     assert sorted(r.observed for r in records.values()) == sorted(
         max(values) for values in by_manifold.values()
