@@ -31,9 +31,10 @@ import numpy as np
 
 from . import config
 from ._streams import Streams
-from .cells import CellKind, OrientedCell, Point, facets, vertices
+from .cells import OrientedCell, Point, facets, vertices
 from .dilog import skew_dilog_array
 from .dkp import (
+    _SUPPORT_KINDS,
     _completion_steps,
     golden_sign_pattern,
     golden_solution,
@@ -60,10 +61,7 @@ class Tables(NamedTuple):
     triples: np.ndarray  # (R, 6) the corner table's triples
     corners: np.ndarray  # (C,) column of each corner vertex, sorted by vertex
     terms: np.ndarray  # (C, L) ratio index of each term, padded with 1.0
-    black: np.ndarray  # (B, L) terms of the black halves (double cube corners)
-    factor_order: np.ndarray  # flat factor order over [primary, black/value]
-    inverse: np.ndarray  # (C,) corners reporting 1/value
-    has_black: np.ndarray  # (C,) corners with a black half
+    factors: np.ndarray  # (F, L) the same for each corner's factors in turn
     local: tuple[np.ndarray, ...]  # per corner: form rows of the facets through it
     required: np.ndarray  # columns of the IVP data, in required order
     steps: tuple[tuple[np.ndarray, int], ...]  # completion (six columns, slot)
@@ -95,10 +93,7 @@ def tables(cell: OrientedCell) -> Tables:
         return [column[p] for p in six]
 
     chain = facets(cell)
-    forms = [
-        (c, coeff) for c, coeff in chain.items()
-        if c.kind in (CellKind.OCTAHEDRON, CellKind.CUBE3)
-    ]
+    forms = [(c, coeff) for c, coeff in chain.items() if c.kind in _SUPPORT_KINDS]
     row = {c: r for r, (c, _) in enumerate(forms)}
     table = _corner_table(cell)
     corners = sorted(p for p, corner in table.corners.items() if corner is not None)
@@ -110,12 +105,6 @@ def tables(cell: OrientedCell) -> Tables:
         return [6 * t + 2 * k + (sign < 0) for t, k, sign in terms]
 
     entries = [table.corners[v] for v in corners]
-    flat, n_black = [], 0
-    for c, corner in enumerate(entries):
-        flat.append(c)
-        if corner.black is not None:
-            flat.append(len(entries) + n_black)
-            n_black += 1
     local = tuple(
         np.array(
             [row[f] for f, _ in chain.restricted_to_vertex(v).items() if f in row],
@@ -136,10 +125,7 @@ def tables(cell: OrientedCell) -> Tables:
         triples=np.array([cols(t) for t in table.triples], dtype=np.intp),
         corners=np.array(cols(corners), dtype=np.intp),
         terms=_padded([ratios(e.terms) for e in entries], one),
-        black=_padded([ratios(e.black) for e in entries if e.black], one),
-        factor_order=np.array(flat, dtype=np.intp),
-        inverse=np.array([e.inverse for e in entries]),
-        has_black=np.array([e.black is not None for e in entries]),
+        factors=_padded([ratios(f) for e in entries for f in e.factors], one),
         local=local,
         required=np.array(cols(required), dtype=np.intp),
         steps=tuple((np.array(cols(six), dtype=np.intp), slot) for six, slot in steps),
@@ -238,8 +224,9 @@ def exterior_derivative(tab: Tables, x: np.ndarray) -> np.ndarray:
 
 
 def corner_products(tab: Tables, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values (trials, C), flat factors) at the corner vertices in sorted
-    order; the factors run as classify_branch flattens them."""
+    """(values (trials, C), factors (trials, F)) at the corner vertices in
+    sorted order; the factors run corner by corner, as classify_branch
+    flattens them."""
     m = _regular(_monomials(x[:, tab.triples]))
     # Binomials m_k + m_{k-1} and m_k + m_{k+1}: the three pair sums, each
     # checked as _binomial checks it.
@@ -257,12 +244,7 @@ def corner_products(tab: Tables, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             out = out * ratio[:, terms[:, j]]
         return out
 
-    value = product(tab.terms)
-    primary = np.where(tab.inverse, 1.0 / value, value)
-    black = product(tab.black)
-    primary[:, tab.has_black] = black
-    factors = np.concatenate([primary, black / value[:, tab.has_black]], axis=1)
-    return value, factors[:, tab.factor_order]
+    return product(tab.terms), product(tab.factors)
 
 
 class Report(NamedTuple):
@@ -273,23 +255,31 @@ class Report(NamedTuple):
     max_dkp_minus_relative: np.ndarray
 
 
-def classify(tab: Tables, x: np.ndarray, allow_gray: bool = False) -> Report:
-    """classify_branch at its default tolerances, per trial; a trial in the
-    gray zone raises InconclusiveBranchError unless allow_gray, which reports
-    it as GRAY."""
+def branch_rule(
+    dev_minus: np.ndarray, dev_plus: np.ndarray, max_dkp: np.ndarray,
+    max_minus: np.ndarray, allow_gray: bool = False,
+) -> np.ndarray:
+    """The branch code of each row, from the worst deviations of its corner
+    factors from -1 and +1 and the worst relative residuals of dKP and of
+    its inverse.
+
+    A branch is assigned only when every factor sits within the `classify`
+    tolerance of the branch unit and the matching relation system agrees to
+    `system_rel` (relative); NEITHER needs every factor at least
+    `neither_floor` away from both units.  A row in the zone between raises
+    InconclusiveBranchError rather than mislabel borderline numerics, unless
+    allow_gray, which reports it as GRAY.
+    """
     tolerance = config.TOLERANCES["classify"]
     neither_floor = config.TOLERANCES["neither_floor"]
     system_tolerance = config.TOLERANCES["system_rel"]
-    _, factors = corner_products(tab, x)
-    dev_minus = np.abs(factors + 1.0).max(axis=1)
-    dev_plus = np.abs(factors - 1.0).max(axis=1)
-    m = _monomials(x[:, tab.supports])
-    max_dkp = _relative(m).max(axis=1)
-    max_minus = _relative(_inverse_terms(m)).max(axis=1)
     dkp = (dev_minus <= tolerance) & (max_dkp <= system_tolerance)
-    minus = ~dkp & (dev_plus <= tolerance) & (max_minus <= system_tolerance)
-    neither = ~dkp & ~minus & (np.minimum(dev_minus, dev_plus) > neither_floor)
-    branch = np.select([dkp, minus, neither], [DKP, DKP_MINUS, NEITHER], GRAY)
+    minus = (dev_plus <= tolerance) & (max_minus <= system_tolerance)
+    neither = np.minimum(dev_minus, dev_plus) > neither_floor
+    # The first rule that holds decides.
+    branch = np.where(
+        dkp, DKP, np.where(minus, DKP_MINUS, np.where(neither, NEITHER, GRAY))
+    )
     gray = np.flatnonzero(branch == GRAY)
     if gray.size and not allow_gray:
         t = gray[0]
@@ -297,6 +287,18 @@ def classify(tab: Tables, x: np.ndarray, allow_gray: bool = False) -> Report:
             f"corner factors in the gray zone: dev-={dev_minus[t]:.3e},"
             f" dev+={dev_plus[t]:.3e}"
         )
+    return branch
+
+
+def classify(tab: Tables, x: np.ndarray, allow_gray: bool = False) -> Report:
+    """classify_branch per trial; allow_gray as in branch_rule."""
+    _, factors = corner_products(tab, x)
+    dev_minus = np.abs(factors + 1.0).max(axis=1)
+    dev_plus = np.abs(factors - 1.0).max(axis=1)
+    m = _monomials(x[:, tab.supports])
+    max_dkp = _relative(m).max(axis=1)
+    max_minus = _relative(_inverse_terms(m)).max(axis=1)
+    branch = branch_rule(dev_minus, dev_plus, max_dkp, max_minus, allow_gray)
     return Report(branch, dev_minus, dev_plus, max_dkp, max_minus)
 
 

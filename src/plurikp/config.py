@@ -27,7 +27,9 @@ MAX_REDRAWS = 500
 # suite whatever its trial count.
 TRIAL_CHUNK = 2000
 
-# Default tolerances, overridable per check via SuiteConfig or --tol.<name>.
+# Default tolerances.  The records' tolerances are overridable via SuiteConfig
+# or --tol.<name>; the branch thresholds (classify, neither_floor, system_rel)
+# and the completion check (solver_rel) are fixed.
 TOLERANCES = {
     "special_values": 1e-11,
     "skew_antisymmetry": 1e-12,

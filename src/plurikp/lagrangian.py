@@ -14,11 +14,13 @@ The derivative of the exterior derivative of a 4-cell at a vertex is
 sign * (1/x) * log|value|: value is the product over the relation supports
 through the vertex of R_k = (M_k + M_{k-1}) / (M_k + M_{k+1}) (indices mod 3,
 M_k the monomial holding the vertex) raised to the support's sign; the rest
-of each support's derivative cancels between supports.  On solutions value
-is -1 (dKP) or +1 (inverse branch), except at double-index 4D-cube corners,
-where it is the quotient of a black and a white factor, each -1 or +1: black
-is the product over the supports at the cube base times R_k of the
-octahedron on the six double-index vertices, and white = black / value.
+of each support's derivative cancels between supports.  The factors of a
+corner, products of the same ratios, are -1 (dKP) or +1 (inverse branch) on
+solutions.  A corner's one factor is value itself, except on a 4D cube: a
+triple-index corner's factor flips the sign of every support (1/value), and
+a double-index corner has two, R_k of the octahedron on the six double-index
+vertices times the supports at the cube base, and times the other supports
+with their signs flipped, so that value is their quotient.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .cells import Chain, CellKind, OrientedCell, Point, _offset, facets, vertices
 from .dilog import skew_dilog
-from .dkp import field_values, signed_monomials, six_points, system_on_4cell
+from .dkp import (
+    _SUPPORT_KINDS,
+    field_values,
+    signed_monomials,
+    six_points,
+    system_on_4cell,
+)
 from .errors import CellError, NoCornerEquationError, SingularFieldError
 
 __all__ = [
@@ -58,7 +66,7 @@ def action(field: Mapping[Point, float], manifold: Chain) -> float:
     """Signed sum of the 3-form over a chain; tetrahedra contribute zero."""
     total = 0.0
     for cell, coeff in manifold.items():
-        if cell.kind in (CellKind.OCTAHEDRON, CellKind.CUBE3):
+        if cell.kind in _SUPPORT_KINDS:
             total += coeff * three_form(field, cell)
         elif cell.kind in (CellKind.BLACK_TETRAHEDRON, CellKind.WHITE_TETRAHEDRON):
             continue
@@ -86,8 +94,7 @@ _ByTriple = Mapping[int, _Monomials] | Sequence[_Monomials]
 
 class _Corner(NamedTuple):
     terms: tuple[_Term, ...]  # every relation support through the vertex
-    black: tuple[_Term, ...] | None  # double cube corners: the black half
-    inverse: bool  # triple cube corners report their white factor 1/value
+    factors: tuple[tuple[_Term, ...], ...]  # the terms of each factor
 
 
 class _CornerTable(NamedTuple):
@@ -102,8 +109,8 @@ class CornerProduct:
     """Corner quantity at one vertex of a 4-cell.
 
     value enters the corner equation as (1/x) log|value|; factors are the
-    quantities that equal -1 or +1 on the two solution branches (one for
-    ambo cells, the black and white factors for double-index cube corners).
+    quantities that equal -1 or +1 on the two solution branches (two at a
+    double-index cube corner, whose quotient is value, one elsewhere).
     """
 
     value: float
@@ -138,17 +145,6 @@ def _ratio_product(monomials: _ByTriple, terms: tuple[_Term, ...]) -> float:
     return product
 
 
-def _corner_from(monomials: _ByTriple, corner: _Corner) -> CornerProduct:
-    """The corner product, given the monomials of the triples its terms use."""
-    value = _ratio_product(monomials, corner.terms)
-    if corner.black is not None:
-        black = _ratio_product(monomials, corner.black)
-        return CornerProduct(value, (black, black / value))
-    if corner.inverse:
-        return CornerProduct(value, (1.0 / value,))
-    return CornerProduct(value, (value,))
-
-
 @functools.lru_cache(maxsize=256)
 def _corner_table(cell4: OrientedCell) -> _CornerTable:
     """Triples and the corner of every vertex of a 4-cell; None marks the two
@@ -157,18 +153,14 @@ def _corner_table(cell4: OrientedCell) -> _CornerTable:
     supports = system_on_4cell(cell4.positive())
     triples = [six_points(support) for support in supports]
     through: dict[Point, list[_Term]] = {}
-    base_side: dict[Point, list[_Term]] = {}
     for t, (support, points) in enumerate(zip(supports, triples)):
         for slot, point in enumerate(points):
-            term = (t, min(slot, 5 - slot), support.sign)
-            through.setdefault(point, []).append(term)
-            if support.base == base:
-                base_side.setdefault(point, []).append(term)
+            through.setdefault(point, []).append((t, min(slot, 5 - slot), support.sign))
+    shifted = {t for t, support in enumerate(supports) if support.base != base}
     # Vertices on no support (the base and far corners of a 4D cube) are inert.
     corners: dict[Point, _Corner | None] = dict.fromkeys(vertices(cell4))
-    # On a 4D cube the black factor of a double corner closes its base-side
-    # supports with the octahedron on the six double-index vertices, and the
-    # triple corners are the ones on shifted supports only.
+    # On a 4D cube the triple corners lie on shifted supports only, and the
+    # double corners on the octahedron on the six double-index vertices.
     cube = cell4.kind is CellKind.CUBE4
     octahedron = tuple(
         _offset(base, pair) for pair in itertools.combinations(cell4.indices, 2)
@@ -176,11 +168,17 @@ def _corner_table(cell4: OrientedCell) -> _CornerTable:
     if cube:
         triples.append(octahedron)
     for vertex, terms in through.items():
-        black = None
+        terms = tuple(terms)
+        base_side = tuple(term for term in terms if term[0] not in shifted)
+        flipped = tuple((t, k, -sign) for t, k, sign in terms if t in shifted)
+        factors = (terms,)
         if vertex in octahedron:
             slot = octahedron.index(vertex)
-            black = (*base_side[vertex], (len(supports), min(slot, 5 - slot), 1))
-        corners[vertex] = _Corner(tuple(terms), black, cube and vertex not in base_side)
+            middle = (len(supports), min(slot, 5 - slot), 1)
+            factors = ((*base_side, middle), (middle, *flipped))
+        elif cube and not base_side:
+            factors = (flipped,)
+        corners[vertex] = _Corner(terms, factors)
     return _CornerTable(tuple(triples), corners)
 
 
@@ -197,9 +195,13 @@ def corner_product(
         raise NoCornerEquationError(
             f"no corner equation at {vertex}: the action does not depend on it"
         )
-    used = {t for t, _, _ in corner.terms + (corner.black or ())}
+    used = {t for terms in (corner.terms, *corner.factors) for t, _, _ in terms}
     monomials = {t: _regular_monomials(field, table.triples[t]) for t in sorted(used)}
-    return _corner_from(monomials, corner)
+    value = _ratio_product(monomials, corner.terms)
+    return CornerProduct(value, tuple(
+        value if terms == corner.terms else _ratio_product(monomials, terms)
+        for terms in corner.factors
+    ))
 
 
 def corner_residual(

@@ -52,6 +52,7 @@ from .cells import (
 # but stay bound: the benchmark's tracer wraps verify.<name> for each of them.
 from .dilog import skew_dilog, skew_dilog_array, special_value_table
 from .dkp import (
+    _SUPPORT_KINDS,
     Branch,
     Field,
     _inverse_terms,
@@ -69,14 +70,13 @@ from .dkp import (
 from .errors import (
     BranchError,
     ConfigError,
-    InconclusiveBranchError,
     MissingVertexError,
     NoCornerEquationError,
     PluriKPError,
 )
 from .lagrangian import (
-    _corner_from,
     _corner_table,
+    _ratio_product,
     _regular_monomials,
     action,
     corner_product,
@@ -106,6 +106,10 @@ _SOLUTION_MARGIN = 1e-5
 # analytic residuals only need well-conditioned logarithms there, nothing
 # is finite-differenced through the auxiliary cells.
 _EXTENSION_MARGIN = 1e-3
+# The thresholds in config.TOLERANCES that no record reads: the branch rule's
+# and the completion check's.  An override would change nothing, so
+# SuiteConfig refuses one.
+_FIXED_TOLERANCES = frozenset({"classify", "neither_floor", "system_rel", "solver_rel"})
 
 
 # --- records and configuration ----------------------------------------------
@@ -186,6 +190,9 @@ class SuiteConfig:
         unknown = set(overrides) - set(config.TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance overrides: {sorted(unknown)}")
+        fixed = sorted(set(overrides) & _FIXED_TOLERANCES)
+        if fixed:
+            raise ConfigError(f"fixed thresholds cannot be overridden: {fixed}")
         for name, value in overrides.items():
             if not 0.0 <= value < math.inf:
                 raise ConfigError(f"tolerance {name} must be finite and >= 0: {value}")
@@ -274,55 +281,28 @@ def corner_vertices(cell4: OrientedCell) -> tuple[Point, ...]:
     )
 
 
-def classify_branch(
-    field: Mapping[Point, float],
-    cell4: OrientedCell,
-    tolerance: float = config.TOLERANCES["classify"],
-    neither_floor: float = config.TOLERANCES["neither_floor"],
-    system_tolerance: float = config.TOLERANCES["system_rel"],
-) -> BranchReport:
-    """Classify a nonsingular field on a 4-cell by its corner factors.
-
-    A branch is assigned only when every factor sits within `tolerance` of
-    the branch unit and the matching relation system agrees to
-    `system_tolerance` (relative); 'neither' needs every factor at least
-    `neither_floor` away from both units, and the zone in between raises
-    InconclusiveBranchError rather than mislabel borderline numerics.
-    """
+def classify_branch(field: Mapping[Point, float], cell4: OrientedCell) -> BranchReport:
+    """Classify a nonsingular field on a 4-cell by its corner factors, with
+    _batch.branch_rule (InconclusiveBranchError in its gray zone)."""
     # Each triple's monomials are read once and shared by every corner.
     table = _corner_table(cell4)
     monomials = [_regular_monomials(field, points) for points in table.triples]
     factors = {
-        vertex: _corner_from(monomials, table.corners[vertex]).factors
+        vertex: tuple(
+            _ratio_product(monomials, terms) for terms in table.corners[vertex].factors
+        )
         for vertex in corner_vertices(cell4)
     }
     flat = [f for fs in factors.values() for f in fs]
-    dev_minus = max(abs(f + 1.0) for f in flat)
-    dev_plus = max(abs(f - 1.0) for f in flat)
     supports = system_on_4cell(cell4)
-    max_dkp = max(_relative(m, s) for m, s in zip(monomials, supports))
-    max_minus = max(
-        _relative(_inverse_terms(m), s) for m, s in zip(monomials, supports)
+    worst = (
+        max(abs(f + 1.0) for f in flat),
+        max(abs(f - 1.0) for f in flat),
+        max(_relative(m, s) for m, s in zip(monomials, supports)),
+        max(_relative(_inverse_terms(m), s) for m, s in zip(monomials, supports)),
     )
-    if dev_minus <= tolerance and max_dkp <= system_tolerance:
-        branch = Branch.DKP
-    elif dev_plus <= tolerance and max_minus <= system_tolerance:
-        branch = Branch.DKP_MINUS
-    elif min(dev_minus, dev_plus) > neither_floor:
-        branch = Branch.NEITHER
-    else:
-        raise InconclusiveBranchError(
-            f"corner factors in the gray zone: dev-={dev_minus:.3e},"
-            f" dev+={dev_plus:.3e}"
-        )
-    return BranchReport(
-        branch=branch,
-        corner_factors=factors,
-        max_dev_minus=dev_minus,
-        max_dev_plus=dev_plus,
-        max_dkp_relative=max_dkp,
-        max_dkp_minus_relative=max_minus,
-    )
+    (code,) = _batch.branch_rule(*np.array(worst)[:, None])
+    return BranchReport(list(Branch)[code], factors, *worst)
 
 
 def closure_constant(cell4: OrientedCell, branch: Branch) -> float:
@@ -396,8 +376,7 @@ def _corner_frame(manifold: Chain, vertex: Point) -> _CornerFrame:
         for cell4, _ in pairs:
             needed.update(vertices(cell4))
         columns = padded + tuple(sorted(needed - set(padded)))
-        relations = (CellKind.OCTAHEDRON, CellKind.CUBE3)
-        star_supports = [c for c in star.cells() if c.kind in relations]
+        star_supports = [c for c in star.cells() if c.kind in _SUPPORT_KINDS]
         supports = [s for cell4, _ in pairs for s in _relation_supports(cell4)]
         return _CornerFrame(
             points, _batch.six_columns(points, star_supports), pairs, vertex + pad,

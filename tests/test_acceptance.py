@@ -280,7 +280,7 @@ def test_criterion_8_negative_control():
         field = _random_plain_field(
             rng, vertices(cell), _relation_supports(cell), config.DRAW_FLOOR
         )
-        rep = classify_branch(field, cell, tolerance=1e-7)
+        rep = classify_branch(field, cell)
         if rep.branch is not VBranch.NEITHER:
             false_positives += 1
     assert false_positives == 0

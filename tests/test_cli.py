@@ -66,6 +66,21 @@ def test_verify_unknown_tolerance_is_config_error():
 @pytest.mark.parametrize(
     "override",
     [
+        ["--tol", "classify=0.9"],
+        ["--tol.system_rel=5"],
+        ["--tol", "neither_floor=100"],
+        ["--tol", "solver_rel=0"],
+    ],
+)
+def test_verify_refuses_fixed_thresholds(override, capsys):
+    # No record reads them, so an override would change nothing.
+    assert main(["verify", "--trials", "2", "--seed", "7", *override]) == 2
+    assert "fixed thresholds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
         ["--tol", "classify=abc"],
         ["--tol.classify=abc"],
         ["--tol", "classify"],

@@ -232,7 +232,9 @@ def test_corner_product_random_solution_all_corners(black_ambo, rng):
             )
 
 
-def test_corner_product_cube_double_carries_two_factors(cube4):
+def test_corner_product_cube_double_carries_two_factors(
+    black_ambo, white_ambo, cube4, rng
+):
     golden = golden_cube_field(cube4)
     double_vertex = tuple(
         b + (1 if d in (0, 1) else 0) for d, b in enumerate(cube4.base)
@@ -244,6 +246,29 @@ def test_corner_product_cube_double_carries_two_factors(cube4):
     )
     for factor in product.factors:
         assert factor == pytest.approx(-1.0, abs=1e-12)
+    # Off solutions too: on a 4D cube the two factors of a double-index
+    # corner divide to the value and the factor of a triple-index corner is
+    # its reciprocal; every other corner's one factor is the value itself.
+    seen = set()
+    for cell in (black_ambo, white_ambo, cube4):
+        for _ in range(10):
+            field = _random_plain_field(
+                rng, vertices(cell), _relation_supports(cell), config.FD_MARGIN
+            )
+            for vertex in corner_vertices(cell):
+                product = corner_product(field, cell, vertex)
+                index = sum(vertex) - sum(cell.base)
+                if cell.kind is CellKind.CUBE4 and index == 2:
+                    first, second = product.factors
+                    assert first / second == pytest.approx(product.value, rel=1e-13)
+                elif cell.kind is CellKind.CUBE4 and index == 3:
+                    (factor,) = product.factors
+                    assert factor * product.value == pytest.approx(1.0, rel=1e-13)
+                else:
+                    assert product.factors == (product.value,)
+                seen.add((cell.kind, index))
+    cube_indices = {index for kind, index in seen if kind is CellKind.CUBE4}
+    assert cube_indices == {1, 2, 3}
 
 
 def test_cube_corners_match_lifted_ambo_corners(cube4, rng):

@@ -235,6 +235,40 @@ def test_config_validation():
         run_suite(SuiteConfig(lattice=["qan"]))
 
 
+@pytest.mark.parametrize("name", ["classify", "neither_floor", "system_rel", "solver_rel"])
+def test_config_refuses_fixed_thresholds(name):
+    cfg = SuiteConfig(tolerances={name: config.TOLERANCES[name]})
+    with pytest.raises(ConfigError, match=f"fixed thresholds.*{name}"):
+        cfg.validate()
+
+
+def _accepted_tolerances():
+    accepted = set()
+    for name, value in config.TOLERANCES.items():
+        try:
+            SuiteConfig(tolerances={name: value}).validate()
+        except ConfigError:
+            continue
+        accepted.add(name)
+    return accepted
+
+
+def test_every_accepted_tolerance_is_read(monkeypatch):
+    # An override that the suite never reads would be accepted and ignored.
+    read = set()
+    original = SuiteConfig.tolerance
+
+    def spy(self, name):
+        read.add(name)
+        return original(self, name)
+
+    monkeypatch.setattr(SuiteConfig, "tolerance", spy)
+    for lattice in ("qan", "cubic"):
+        run_suite(SuiteConfig(lattice=lattice, dim=4, trials=2, seed=3))
+    assert read == _accepted_tolerances()
+    assert len(read) == 9
+
+
 @pytest.mark.parametrize(
     "setting",
     [
