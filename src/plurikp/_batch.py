@@ -43,7 +43,7 @@ from .dkp import (
     system_on_4cell,
 )
 from .errors import InconclusiveBranchError, SingularFieldError
-from .lagrangian import _FRACTION_GUARD, _corner_table
+from .lagrangian import _FRACTION_GUARD, _corner_table, corner_vertices
 
 # Branch codes of a batched classification, in the order of Branch plus gray.
 DKP, DKP_MINUS, NEITHER, GRAY = range(4)
@@ -96,7 +96,7 @@ def tables(cell: OrientedCell) -> Tables:
     forms = [(c, coeff) for c, coeff in chain.items() if c.kind in _SUPPORT_KINDS]
     row = {c: r for r, (c, _) in enumerate(forms)}
     table = _corner_table(cell)
-    corners = sorted(p for p, corner in table.corners.items() if corner is not None)
+    corners = corner_vertices(cell)
     # Ratio index of a term (triple t, slot k, sign): 6t + 2k, plus one for
     # the reciprocal that a negative support takes; index `one` holds 1.0.
     one = 6 * len(table.triples)

@@ -1,7 +1,7 @@
 """Package-wide defaults.
 
-All constants that are not fixed by the mathematics live here, so that
-there is a single documented place for them.
+The package's settings; the few numerical constants not fixed by the
+mathematics that live beside their one user are listed in README, Defaults.
 """
 
 # Largest lattice dimension N accepted by cell constructors.  All algorithms

@@ -9,8 +9,9 @@ the six middle vertices of its inscribed octahedron (single-index values
 stand in for the mixed pairs with the dropped direction).  Inverting every
 value turns it into the quartic e2(M) = M1 M2 + M2 M3 + M3 M1 = 0.
 
-The relation system of a 4-cell is the part of its boundary that carries the
-relation: the five octahedron facets of a 4-ambo cell, or the eight 3D-cube
+RELATION_CELLS describes each 4-cell kind that carries the relation, once.
+The relation system of such a 4-cell is the part of its boundary that carries
+the relation: the five octahedron facets of a 4-ambo cell, or the eight 3D-cube
 facets of a 4D cube, each oriented by its facet coefficient.
 Solvers complete minimal initial data to full solutions: seven values on an
 ambo cell, nine on a 4D cube.  The relation is affine in each value, so
@@ -28,7 +29,7 @@ import json
 import math
 import os
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import config
 from .cells import LATTICES, CellKind, OrientedCell, Point, _offset, facets
@@ -49,8 +50,8 @@ Step = tuple[Points, int]
 __all__ = [
     "Branch",
     "Field",
-    "ambo_ivp_points",
-    "cube_ivp_points",
+    "RELATION_CELLS",
+    "RelationCell",
     "dkp_minus_residual_relative",
     "dkp_residual",
     "dkp_residual_relative",
@@ -81,6 +82,51 @@ class Branch(Enum):
 
 
 _SUPPORT_KINDS = (CellKind.OCTAHEDRON, CellKind.CUBE3)
+
+PI2_4 = math.pi**2 / 4.0
+
+
+class RelationCell(NamedTuple):
+    """A 4-cell kind that carries the relation: the tag of its records, its
+    initial-value vertices (groups of positions in the cell's indices), the
+    facet action on the golden solution's component at positive orientation,
+    and the action's values over all components (it is constant on each)."""
+
+    tag: str
+    ivp: tuple[tuple[int, ...], ...]
+    golden_closure: float
+    closure_values: tuple[float, ...]
+
+
+# Black ambo: the pairs through l or m of (i, j, k, l, m).
+_AMBO_IVP = ((0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+_AMBO_VALUES = (-PI2_4, PI2_4)
+
+# The 4-simplices carry no relation and have no entry.
+RELATION_CELLS: dict[CellKind, RelationCell] = {
+    CellKind.BLACK_AMBO4: RelationCell("ambo-black", _AMBO_IVP, -PI2_4, _AMBO_VALUES),
+    # The white initial vertices are the complements of the black ones.
+    CellKind.WHITE_AMBO4: RelationCell(
+        "ambo-white", tuple(tuple(sorted({0, 1, 2, 3, 4} - set(g))) for g in _AMBO_IVP),
+        -PI2_4, _AMBO_VALUES,
+    ),
+    # Two single-index, five double-index and two triple-index vertices of
+    # (j, k, l, m), fixed once by rank probing the eight-equation system at
+    # random solutions: its rank is 5 of 14, leaving 9 free values.
+    CellKind.CUBE4: RelationCell(
+        "cube",
+        ((2,), (3,), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1, 2), (0, 1, 3)),
+        0.0, (0.0, -2.0 * PI2_4, 2.0 * PI2_4),
+    ),
+}
+
+
+def _relation_cell(cell4: OrientedCell) -> RelationCell:
+    """The RELATION_CELLS entry of the cell's kind (CellError if it has none)."""
+    try:
+        return RELATION_CELLS[cell4.kind]
+    except KeyError:
+        raise CellError(f"{cell4.kind.value} carries no relation system") from None
 
 
 @functools.lru_cache(maxsize=256)
@@ -163,14 +209,12 @@ def system_on_4cell(cell4: OrientedCell) -> tuple[OrientedCell, ...]:
     """Relation supports of a 4-cell: its octahedron and 3D-cube facets, each
     oriented by its facet coefficient (ordered as the facet chain lists them).
     """
-    supports = tuple(
+    _relation_cell(cell4)
+    return tuple(
         cell if coeff > 0 else -cell
         for cell, coeff in facets(cell4).items()
         if cell.kind in _SUPPORT_KINDS
     )
-    if not supports:
-        raise CellError(f"{cell4.kind.value} carries no relation system")
-    return supports
 
 
 def _solve_slot(field: Mapping[Point, float], points: Points, slot: int) -> float:
@@ -217,63 +261,33 @@ def _completion_steps(cell4: OrientedCell, required: Points) -> tuple[Step, ...]
         known.update(found)
 
 
-def _ivp_points(cell4: OrientedCell, groups: Iterable[tuple[int, ...]]) -> IvpPoints:
-    required = tuple(_offset(cell4.base, g) for g in groups)
+@functools.lru_cache(maxsize=256)
+def ivp_points(cell4: OrientedCell) -> IvpPoints:
+    """(required, solved) vertex tuples of the completion: the initial-value
+    vertices of the cell's RELATION_CELLS entry, then the solved ones in order."""
+    idx = cell4.indices
+    groups = _relation_cell(cell4).ivp
+    required = tuple(_offset(cell4.base, [idx[p] for p in g]) for g in groups)
     steps = _completion_steps(cell4, required)
     return required, tuple(points[slot] for points, slot in steps)
 
 
-def ambo_ivp_points(cell4: OrientedCell) -> IvpPoints:
-    """(required, solved) vertex tuples for the seven-point completion.
-
-    The black initial vertices are the pairs through l or m; the white ones
-    are their complements within the cell's directions.
-    """
-    if cell4.kind not in (CellKind.BLACK_AMBO4, CellKind.WHITE_AMBO4):
-        raise CellError(f"{cell4.kind.value} has no seven-point completion")
-    idx = cell4.indices
-    i, j, k, l, m = idx
-    groups = ((i, l), (i, m), (j, l), (j, m), (k, l), (k, m), (l, m))
-    if cell4.kind is CellKind.WHITE_AMBO4:
-        groups = tuple(tuple(d for d in idx if d not in g) for g in groups)
-    return _ivp_points(cell4, groups)
-
-
-def cube_ivp_points(cell4: OrientedCell) -> IvpPoints:
-    """(required, solved) vertex tuples for the nine-point cube completion.
-
-    The free set (two single-index, five double-index, two triple-index
-    vertices) was fixed once by rank probing the eight-equation system at
-    random solutions: the Jacobian rank is 5, leaving 14 - 5 = 9 free values.
-    """
-    if cell4.kind is not CellKind.CUBE4:
-        raise CellError(f"{cell4.kind.value} has no nine-point completion")
-    j, k, l, m = cell4.indices
-    groups = ((l,), (m,), (j, l), (j, m), (k, l), (k, m), (l, m), (j, k, l), (j, k, m))
-    return _ivp_points(cell4, groups)
-
-
-def ivp_points(cell4: OrientedCell) -> IvpPoints:
-    """(required, solved) vertex tuples of the completion on a 4-ambo cell
-    or a 4D cube."""
-    if cell4.kind is CellKind.CUBE4:
-        return cube_ivp_points(cell4)
-    return ambo_ivp_points(cell4)
-
-
 def _complete(
     cell4: OrientedCell,
-    required: Points,
     data: Mapping[Point, float],
     branch: Branch,
     solver: Callable[..., Field],
+    family: str,
 ) -> Field:
-    """Complete the data on `required` and self-check the result.
+    """Complete the data on the cell's IVP points and self-check the result.
 
     The inverse branch completes the inverted data through the public
     `solver` (so call counts see the inner completion too) and inverts the
     result, so the two branches are exactly conjugate under x -> 1/x.
     """
+    if cell4.kind.family != family:
+        raise CellError(f"{cell4.kind.value} is not a {family} cell")
+    required, _ = ivp_points(cell4)
     given = {tuple(p) for p in data}
     needed = set(required)
     if given != needed:
@@ -308,8 +322,7 @@ def solve_ambo_ivp(
     branch: Branch = Branch.DKP,
 ) -> Field:
     """Complete seven prescribed values on a 4-ambo cell to a full solution."""
-    required, _ = ambo_ivp_points(cell4)
-    return _complete(cell4, required, data, branch, solve_ambo_ivp)
+    return _complete(cell4, data, branch, solve_ambo_ivp, "qan")
 
 
 def solve_cube_ivp(
@@ -322,8 +335,7 @@ def solve_cube_ivp(
     It takes three rounds (x_jk comes from the base facet (j, k, l) in the
     second); the two corner vertices without equations never appear.
     """
-    required, _ = cube_ivp_points(cell4)
-    return _complete(cell4, required, data, branch, solve_cube_ivp)
+    return _complete(cell4, data, branch, solve_cube_ivp, "cubic")
 
 
 def golden_field(cell4: OrientedCell, branch: Branch = Branch.DKP) -> Field:

@@ -35,6 +35,7 @@ from .cells import Chain, CellKind, OrientedCell, Point, _offset, facets, vertic
 from .dilog import skew_dilog
 from .dkp import (
     _SUPPORT_KINDS,
+    RELATION_CELLS,
     field_values,
     signed_monomials,
     six_points,
@@ -47,6 +48,7 @@ __all__ = [
     "action",
     "corner_product",
     "corner_residual",
+    "corner_vertices",
     "exterior_derivative",
     "three_form",
 ]
@@ -182,6 +184,13 @@ def _corner_table(cell4: OrientedCell) -> _CornerTable:
     return _CornerTable(tuple(triples), corners)
 
 
+@functools.lru_cache(maxsize=256)
+def corner_vertices(cell4: OrientedCell) -> tuple[Point, ...]:
+    """The vertices of a 4-cell that carry corner equations, sorted."""
+    corners = _corner_table(cell4).corners
+    return tuple(sorted(p for p, corner in corners.items() if corner is not None))
+
+
 def corner_product(
     field: Mapping[Point, float], cell4: OrientedCell, vertex: Point
 ) -> CornerProduct:
@@ -209,10 +218,10 @@ def corner_residual(
 ) -> float:
     """Analytic derivative of the exterior derivative at one vertex.
 
-    Equals sign * (1/x) * log|corner product|; identically zero on the two
-    4-simplex kinds, whose facets carry no Lagrangian.
+    Equals sign * (1/x) * log|corner product|; identically zero on the
+    4-cells without a relation, whose facets carry no Lagrangian.
     """
-    if cell4.kind in (CellKind.BLACK_SIMPLEX4, CellKind.WHITE_SIMPLEX4):
+    if cell4.dim == 4 and cell4.kind not in RELATION_CELLS:
         if tuple(vertex) not in vertices(cell4):
             raise CellError(f"{tuple(vertex)} is not a vertex of {cell4}")
         return 0.0

@@ -53,16 +53,18 @@ from .cells import (
 from .dilog import skew_dilog, skew_dilog_array, special_value_table
 from .dkp import (
     _SUPPORT_KINDS,
+    PI2_4,
+    RELATION_CELLS,
     Branch,
     Field,
     _inverse_terms,
+    _relation_cell,
     _relative,
     dkp_residual,
     golden_field,
     ivp_points,
     monomial_sign_pattern,
     nonsingularity_margin,
-    six_points,
     solve_ambo_ivp,
     solve_cube_ivp,
     system_on_4cell,
@@ -81,6 +83,7 @@ from .lagrangian import (
     action,
     corner_product,
     corner_residual,
+    corner_vertices,
     exterior_derivative,
     three_form,
 )
@@ -96,7 +99,6 @@ __all__ = [
     "run_suite",
 ]
 
-PI2_4 = math.pi**2 / 4.0
 PI2_20 = math.pi**2 / 20.0
 
 # Margin used when drawing random exact solutions (keeps corner products
@@ -265,20 +267,10 @@ def _random_solution(
 
 
 def _relation_supports(cell4: OrientedCell) -> tuple[OrientedCell, ...]:
-    if cell4.kind in (CellKind.BLACK_SIMPLEX4, CellKind.WHITE_SIMPLEX4):
-        return ()
-    return system_on_4cell(cell4)
+    return system_on_4cell(cell4) if cell4.kind in RELATION_CELLS else ()
 
 
 # --- classification and closure ----------------------------------------------
-
-
-def corner_vertices(cell4: OrientedCell) -> tuple[Point, ...]:
-    """Vertices of a 4-cell on some relation support, which are the ones
-    carrying corner equations (all ten on ambo cells, fourteen on a 4D cube)."""
-    return tuple(
-        sorted({p for s in system_on_4cell(cell4) for p in six_points(s)})
-    )
 
 
 def classify_branch(field: Mapping[Point, float], cell4: OrientedCell) -> BranchReport:
@@ -306,13 +298,12 @@ def classify_branch(field: Mapping[Point, float], cell4: OrientedCell) -> Branch
 
 
 def closure_constant(cell4: OrientedCell, branch: Branch) -> float:
-    """Expected exterior derivative on solutions of the given branch."""
-    if cell4.kind is CellKind.CUBE4:
-        return 0.0
+    """Expected exterior derivative on the golden component of the branch."""
+    value = _relation_cell(cell4).golden_closure * cell4.sign
     if branch is Branch.DKP:
-        return -PI2_4 * cell4.sign
+        return value
     if branch is Branch.DKP_MINUS:
-        return PI2_4 * cell4.sign
+        return -value
     raise BranchError(f"no closure constant for branch {branch}")
 
 
@@ -559,14 +550,6 @@ def _check_golden(cfg: SuiteConfig) -> list[CheckRecord]:
     return records
 
 
-def _closure_value_set(cell: OrientedCell) -> tuple[float, ...]:
-    # Per component the facet action is constant; over all components of the
-    # real nonsingular solution set it takes these values (checked below).
-    if cell.kind is CellKind.CUBE4:
-        return (0.0, -2.0 * PI2_4, 2.0 * PI2_4)
-    return (-PI2_4, PI2_4)
-
-
 def _trial_chunks(
     cfg: SuiteConfig, check_id: str, trials: range | None = None
 ) -> Iterator[Streams]:
@@ -595,7 +578,7 @@ def _solution_trials(cell: OrientedCell, streams: Streams) -> np.ndarray:
     free = _batch.solutions(tab, streams, _SOLUTION_MARGIN, "any")
     free_report = _batch.classify(tab, free)
     s_free = _batch.exterior_derivative(tab, free)
-    value_set = np.array(_closure_value_set(cell))
+    value_set = np.array(RELATION_CELLS[cell.kind].closure_values)
     mislabeled = (
         (report.branch != _batch.DKP).astype(float)
         + (inverse_report.branch != _batch.DKP_MINUS)
@@ -614,22 +597,13 @@ def _solution_trials(cell: OrientedCell, streams: Streams) -> np.ndarray:
     )
 
 
-# The tags of the random-solution checks, per 4-cell kind with a relation
-# system (a completion and a closure constant).
-_SOLUTION_TAGS = {
-    CellKind.BLACK_AMBO4: "ambo-black",
-    CellKind.WHITE_AMBO4: "ambo-white",
-    CellKind.CUBE4: "cube",
-}
-
-
 def _solution_cells(cfg: SuiteConfig) -> list[tuple[OrientedCell, str]]:
     """The lattice's standard 4-cells with a relation system, and their tags."""
     lattice = LATTICES[cfg.lattice]
     return [
-        (lattice.cell(kind, cfg.dim), _SOLUTION_TAGS[kind])
+        (lattice.cell(kind, cfg.dim), RELATION_CELLS[kind].tag)
         for kind in lattice.four_cells
-        if kind in _SOLUTION_TAGS
+        if kind in RELATION_CELLS
     ]
 
 
@@ -683,7 +657,7 @@ def _gradient_gap(cfg: SuiteConfig, cell: OrientedCell, check_id: str) -> float:
 def _check_gradient(cfg: SuiteConfig) -> list[CheckRecord]:
     lattice = LATTICES[cfg.lattice]
     # The relation kinds come first, then the 4-simplices.
-    kinds = sorted(lattice.four_cells, key=lambda kind: kind not in _SOLUTION_TAGS)
+    kinds = sorted(lattice.four_cells, key=lambda kind: kind not in RELATION_CELLS)
     records = []
     for kind in kinds:
         check_id = f"gradient-{kind.value}"

@@ -82,3 +82,14 @@ def test_expected_bindings_resolve():
     workloads = importlib.import_module("workloads")
     keys = {key for keys in workloads.EXPECTED_BINDINGS.values() for key in keys}
     assert sorted(key for key in keys if not _resolves(key)) == []
+
+
+@pytest.mark.parametrize("lattice", ["qan", "cubic"])
+def test_suite_ids_match_the_benchmark_gate(lattice):
+    # The verify workloads gate each run on these ids in this order.
+    from plurikp.verify import SuiteConfig, run_suite
+
+    workloads = importlib.import_module("workloads")
+    result = run_suite(SuiteConfig(lattice=lattice, dim=4, trials=1, seed=7))
+    ids = tuple(record.check_id for record in result.records)
+    assert ids == workloads.EXPECTED_CHECKS[lattice]

@@ -407,6 +407,52 @@ def test_boundary_matches_running_sum(a):
     assert boundary(a) == total
 
 
+@st.composite
+def lattice_cells(draw, kinds, ambient):
+    """A cell of one of the kinds, with a random base, random (unsorted)
+    directions and a random orientation."""
+    kind = draw(st.sampled_from(kinds))
+    count = len(LATTICES[kind.family].cell(kind, 4).indices)
+    indices = draw(
+        st.lists(
+            st.integers(0, ambient - 1), min_size=count, max_size=count, unique=True
+        )
+    )
+    base = draw(st.tuples(*[st.integers(-3, 3)] * ambient))
+    return OrientedCell(kind, base, tuple(indices), draw(st.sampled_from((1, -1))))
+
+
+@st.composite
+def four_cell_chains(draw):
+    """An integer chain of the 4-cell kinds of one family, at one ambient."""
+    lattice = LATTICES[draw(st.sampled_from(sorted(LATTICES)))]
+    ambient = lattice.ambient(draw(st.integers(4, 6)))
+    terms = st.tuples(
+        lattice_cells(lattice.four_cells, ambient), st.integers(-3, 3)
+    )
+    return Chain(draw(st.lists(terms, max_size=8)))
+
+
+@st.composite
+def mixed_chains(draw):
+    """An integer chain over all twelve cell kinds, each cell at an ambient
+    size of its own."""
+    cells = st.integers(5, 7).flatmap(lambda n: lattice_cells(list(CellKind), n))
+    return Chain(draw(st.lists(st.tuples(cells, st.integers(-3, 3)), max_size=8)))
+
+
+@given(four_cell_chains())
+@settings(max_examples=80, deadline=None)
+def test_boundary_of_boundary_vanishes_on_mixed_four_cell_chains(a):
+    assert not boundary(boundary(a))
+
+
+@given(mixed_chains())
+@settings(max_examples=80, deadline=None)
+def test_chain_text_round_trips_over_all_kinds(a):
+    assert parse_chain(format_chain(a)) == a
+
+
 def test_cached_facets_are_shared_and_unchanged_by_arithmetic():
     c = cell(CellKind.BLACK_AMBO4, Z5, (0, 1, 2, 3, 4))
     chain = facets(c)

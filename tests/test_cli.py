@@ -10,10 +10,9 @@ from plurikp.cells import CellKind, OrientedCell
 from plurikp.cli import main
 from plurikp.dkp import (
     Branch,
-    ambo_ivp_points,
-    cube_ivp_points,
     golden_cube_field,
     golden_field,
+    ivp_points,
     read_field_file,
     write_field_file,
 )
@@ -23,7 +22,7 @@ PI2_4 = math.pi**2 / 4.0
 
 def write_golden_seven(path, branch=Branch.DKP):
     cell = OrientedCell(CellKind.BLACK_AMBO4, (0,) * 5, (0, 1, 2, 3, 4))
-    required, _ = ambo_ivp_points(cell)
+    required, _ = ivp_points(cell)
     golden = golden_field(cell, branch)
     write_field_file(str(path), {p: golden[p] for p in required}, "qan", 4)
 
@@ -78,6 +77,21 @@ def test_verify_refuses_fixed_thresholds(override, capsys):
     assert "fixed thresholds" in capsys.readouterr().err
 
 
+def test_main_leaves_no_state_behind(tmp_path, capsys):
+    # A refused call between two equal calls changes neither their output
+    # nor their report.
+    def run(name):
+        report = tmp_path / name
+        argv = ["verify", "--trials", "2", "--seed", "7", "--out", str(report)]
+        assert main(argv) == 0
+        return capsys.readouterr().out, report.read_bytes()
+
+    first = run("first.json")
+    assert main(["verify", "--tol", "classify=0.9"]) == 2
+    capsys.readouterr()
+    assert run("second.json") == first
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -130,7 +144,7 @@ def test_solve_inverse_branch(tmp_path, capsys):
 
 def test_solve_cube(tmp_path, capsys):
     cell = OrientedCell(CellKind.CUBE4, (0,) * 4, (0, 1, 2, 3))
-    required, _ = cube_ivp_points(cell)
+    required, _ = ivp_points(cell)
     golden = golden_cube_field(cell)
     source = tmp_path / "nine.json"
     write_field_file(str(source), {p: golden[p] for p in required}, "cubic", 4)
@@ -180,7 +194,7 @@ def test_solve_rejects_dim_outside_range_with_usage_exit(tmp_path, dim):
     # file is written by hand, since write_field_file refuses such a dim.
     size = dim if type(dim) is int else 4
     cell = OrientedCell(CellKind.BLACK_AMBO4, (0,) * (size + 1), (0, 1, 2, 3, 4))
-    required, _ = ambo_ivp_points(cell)
+    required, _ = ivp_points(cell)
     golden = golden_field(cell)
     values = {",".join(map(str, p)): golden[p] for p in required}
     payload = {
@@ -206,7 +220,7 @@ def test_solve_missing_file_is_io_exit(tmp_path):
 
 def test_solve_wrong_lattice_is_config_exit(tmp_path):
     cell = OrientedCell(CellKind.CUBE4, (0,) * 4, (0, 1, 2, 3))
-    required, _ = cube_ivp_points(cell)
+    required, _ = ivp_points(cell)
     golden = golden_cube_field(cell)
     source = tmp_path / "nine.json"
     write_field_file(str(source), {p: golden[p] for p in required}, "cubic", 4)

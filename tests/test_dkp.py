@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from plurikp.cells import CellKind, OrientedCell, vertices
 from plurikp.dilog import GOLDEN_A
 from plurikp.dkp import (
+    RELATION_CELLS,
     Branch,
     _solve_slot,
-    ambo_ivp_points,
-    cube_ivp_points,
     dkp_minus_residual_relative,
     dkp_residual,
     dkp_residual_relative,
@@ -171,6 +170,29 @@ def test_system_unsupported_kind():
         system_on_4cell(oct_cell())
 
 
+def test_relation_cells_are_the_ambo_kinds_and_the_4d_cube():
+    assert set(RELATION_CELLS) == {
+        CellKind.BLACK_AMBO4, CellKind.WHITE_AMBO4, CellKind.CUBE4
+    }
+    black = RELATION_CELLS[CellKind.BLACK_AMBO4].ivp
+    white = RELATION_CELLS[CellKind.WHITE_AMBO4].ivp
+    assert [set(b) | set(w) for b, w in zip(black, white)] == [set(range(5))] * 7
+    for entry in RELATION_CELLS.values():
+        assert entry.golden_closure in entry.closure_values
+
+
+def test_solvers_refuse_cells_they_do_not_complete(black_ambo, cube4):
+    simplex = OrientedCell(CellKind.BLACK_SIMPLEX4, Z5, (0, 1, 2, 3, 4))
+    with pytest.raises(CellError):
+        ivp_points(simplex)
+    with pytest.raises(CellError):
+        solve_ambo_ivp(simplex, {})
+    with pytest.raises(CellError):
+        solve_ambo_ivp(cube4, {p: 1.0 for p in ivp_points(cube4)[0]})
+    with pytest.raises(CellError):
+        solve_cube_ivp(black_ambo, {p: 1.0 for p in ivp_points(black_ambo)[0]})
+
+
 # --- solving for one vertex of an octahedron or a 3D cube ---------------------------
 
 
@@ -223,7 +245,7 @@ def test_solve_octahedron_every_slot(make_cell, sign, slot, rng):
 
 
 def test_ambo_completion_golden_black(black_ambo):
-    required, solved = ambo_ivp_points(black_ambo)
+    required, solved = ivp_points(black_ambo)
     golden = golden_field(black_ambo, Branch.DKP)
     completed = solve_ambo_ivp(black_ambo, {p: golden[p] for p in required})
     p_ij, p_ik, p_jk = solved
@@ -233,7 +255,7 @@ def test_ambo_completion_golden_black(black_ambo):
 
 
 def test_ambo_completion_homogeneous(black_ambo, rng):
-    required, _ = ambo_ivp_points(black_ambo)
+    required, _ = ivp_points(black_ambo)
     data = {p: float(rng.uniform(0.5, 2.0)) for p in required}
     base_solution = solve_ambo_ivp(black_ambo, data)
     scaled = solve_ambo_ivp(black_ambo, {p: 3.5 * v for p, v in data.items()})
@@ -244,7 +266,7 @@ def test_ambo_completion_homogeneous(black_ambo, rng):
 @pytest.mark.parametrize("kind", [CellKind.BLACK_AMBO4, CellKind.WHITE_AMBO4])
 def test_ambo_completion_solves_all_five(kind, rng):
     cell = OrientedCell(kind, Z5, (0, 1, 2, 3, 4))
-    required, _ = ambo_ivp_points(cell)
+    required, _ = ivp_points(cell)
     count = 0
     while count < 200:
         data = {p: float(rng.uniform(0.5, 2.0) * rng.choice((-1, 1))) for p in required}
@@ -258,7 +280,7 @@ def test_ambo_completion_solves_all_five(kind, rng):
 
 
 def test_ambo_completion_branch_conjugate(black_ambo, rng):
-    required, _ = ambo_ivp_points(black_ambo)
+    required, _ = ivp_points(black_ambo)
     data = {p: float(rng.uniform(0.5, 2.0)) for p in required}
     direct = solve_ambo_ivp(black_ambo, data)
     mirrored = solve_ambo_ivp(
@@ -271,7 +293,7 @@ def test_ambo_completion_branch_conjugate(black_ambo, rng):
 
 
 def test_ambo_completion_rejects_wrong_vertices(black_ambo):
-    required, _ = ambo_ivp_points(black_ambo)
+    required, _ = ivp_points(black_ambo)
     bad = {p: 1.0 for p in required[:-1]}
     with pytest.raises(InitialDataError):
         solve_ambo_ivp(black_ambo, bad)
@@ -280,7 +302,7 @@ def test_ambo_completion_rejects_wrong_vertices(black_ambo):
 
 
 def test_ambo_completion_rejects_zero_value(black_ambo):
-    required, _ = ambo_ivp_points(black_ambo)
+    required, _ = ivp_points(black_ambo)
     data = {p: 1.0 for p in required}
     data[required[0]] = 0.0
     with pytest.raises(SingularFieldError):
@@ -291,7 +313,7 @@ def test_ambo_completion_rejects_zero_value(black_ambo):
 
 
 def test_cube_completion_golden(cube4):
-    required, _ = cube_ivp_points(cube4)
+    required, _ = ivp_points(cube4)
     golden = golden_cube_field(cube4)
     completed = solve_cube_ivp(cube4, {p: golden[p] for p in required})
     for p, v in golden.items():
@@ -299,7 +321,7 @@ def test_cube_completion_golden(cube4):
 
 
 def test_cube_completion_has_nine_inputs_and_fourteen_values(cube4):
-    required, solved = cube_ivp_points(cube4)
+    required, solved = ivp_points(cube4)
     assert len(required) == 9
     assert len(solved) == 5
     golden = golden_cube_field(cube4)
@@ -312,7 +334,7 @@ def test_cube_completion_has_nine_inputs_and_fourteen_values(cube4):
 
 def test_cube_completion_random_residuals(cube4, rng):
     count = 0
-    required, _ = cube_ivp_points(cube4)
+    required, _ = ivp_points(cube4)
     while count < 200:
         data = {p: float(rng.uniform(0.5, 2.0) * rng.choice((-1, 1))) for p in required}
         try:
@@ -325,7 +347,7 @@ def test_cube_completion_random_residuals(cube4, rng):
 
 
 def test_cube_completion_branch_conjugate(cube4, rng):
-    required, _ = cube_ivp_points(cube4)
+    required, _ = ivp_points(cube4)
     data = {p: float(rng.uniform(0.5, 2.0)) for p in required}
     direct = solve_cube_ivp(cube4, data)
     mirrored = solve_cube_ivp(
@@ -470,7 +492,7 @@ def test_golden_cube_field_solves_all_eight(cube4):
 
 
 def test_inversion_duality(black_ambo, rng):
-    required, _ = ambo_ivp_points(black_ambo)
+    required, _ = ivp_points(black_ambo)
     data = {p: float(rng.uniform(0.5, 2.0)) for p in required}
     solution = solve_ambo_ivp(black_ambo, data)
     inverse = invert_field(solution)
@@ -480,7 +502,7 @@ def test_inversion_duality(black_ambo, rng):
 
 def test_cyclic_pullback_preserves_solutions(black_ambo, rng):
     # Pull a solution back along the five-cycle of directions.
-    required, _ = ambo_ivp_points(black_ambo)
+    required, _ = ivp_points(black_ambo)
     data = {p: float(rng.uniform(0.5, 2.0)) for p in required}
     solution = solve_ambo_ivp(black_ambo, data)
     cycle = {0: 1, 1: 2, 2: 3, 3: 4, 4: 0}
