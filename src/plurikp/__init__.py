@@ -30,7 +30,6 @@ from .dilog import GOLDEN_A, dilog, re_dilog, skew_dilog
 from .dkp import (
     Branch,
     dkp_residual,
-    golden_cube_field,
     golden_field,
     invert_field,
     read_field_file,
@@ -86,7 +85,6 @@ __all__ = [
     "flower",
     "format_cell",
     "format_chain",
-    "golden_cube_field",
     "golden_field",
     "invert_field",
     "parse_cell",

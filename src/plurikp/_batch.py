@@ -36,9 +36,9 @@ from .dilog import skew_dilog_array
 from .dkp import (
     _SUPPORT_KINDS,
     _completion_steps,
-    golden_sign_pattern,
-    golden_solution,
+    golden_field,
     ivp_points,
+    monomial_sign_pattern,
     six_points,
     system_on_4cell,
 )
@@ -114,7 +114,7 @@ def tables(cell: OrientedCell) -> Tables:
     )
     required, _ = ivp_points(cell)
     steps = _completion_steps(cell, required)
-    reference = golden_solution(cell)
+    reference = golden_field(cell)
     return Tables(
         cell=cell,
         points=points,
@@ -131,7 +131,7 @@ def tables(cell: OrientedCell) -> Tables:
         steps=tuple((np.array(cols(six), dtype=np.intp), slot) for six, slot in steps),
         completed=np.array(cols(required + tuple(six[s] for six, s in steps))),
         golden_signs=np.array([math.copysign(1.0, reference[p]) for p in required]),
-        golden_pattern=np.array(golden_sign_pattern(cell)),
+        golden_pattern=np.array(monomial_sign_pattern(reference, cell)),
     )
 
 

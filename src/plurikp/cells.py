@@ -658,7 +658,9 @@ def decompose_flower(
     Root-lattice flowers are lifted over two auxiliary directions M and L
     (the next two coordinates); cubic flowers over one.  The chain sum of
     the returned corners reproduces the padded input exactly, which is
-    re-checked before returning.
+    re-checked before returning.  A bouquet (3-spheres that touch only at
+    the vertex) either decomposes too or raises DecompositionError, when the
+    white lifts leave an auxiliary tetrahedron with coefficient 2.
     """
     vertex = tuple(vertex)
     star = flower(flower_chain, vertex)

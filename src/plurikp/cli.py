@@ -14,13 +14,13 @@ error, 3 singular data, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Sequence
 
 from . import config
 from .cells import LATTICES, CellKind, decompose_flower, format_cell, parse_chain
 from .dkp import (
+    PI2_4,
     Branch,
     read_field_file,
     solve_ambo_ivp,
@@ -183,7 +183,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     s_value = exterior_derivative(solution, cell)
     write_field_file(args.output, solution, lattice, dim)
     print(f"branch: {report.branch.value}")
-    print(f"action on facets: {s_value!r}  (pi^2/4 = {math.pi ** 2 / 4!r})")
+    print(f"action on facets: {s_value!r}  (pi^2/4 = {PI2_4!r})")
     print(f"wrote {args.output}")
     return EXIT_OK
 

@@ -9,7 +9,9 @@ the six middle vertices of its inscribed octahedron (single-index values
 stand in for the mixed pairs with the dropped direction).  Inverting every
 value turns it into the quartic e2(M) = M1 M2 + M2 M3 + M3 M1 = 0.
 
-RELATION_CELLS describes each 4-cell kind that carries the relation, once.
+RELATION_CELLS describes each 4-cell kind that carries the relation, once:
+its record tag, initial-value vertices, exact golden-ratio solution and
+closure constants.
 The relation system of such a 4-cell is the part of its boundary that carries
 the relation: the five octahedron facets of a 4-ambo cell, or the eight 3D-cube
 facets of a 4D cube, each oriented by its facet coefficient.
@@ -35,6 +37,7 @@ from . import config
 from .cells import LATTICES, CellKind, OrientedCell, Point, _offset, facets
 from .dilog import GOLDEN_A
 from .errors import (
+    BranchError,
     CellError,
     FormatError,
     InitialDataError,
@@ -46,6 +49,7 @@ Field = dict[Point, float]
 Points = tuple[Point, ...]
 IvpPoints = tuple[Points, Points]
 Step = tuple[Points, int]
+Group = tuple[int, ...]  # positions in a cell's indices
 
 __all__ = [
     "Branch",
@@ -56,10 +60,7 @@ __all__ = [
     "dkp_residual",
     "dkp_residual_relative",
     "field_values",
-    "golden_cube_field",
     "golden_field",
-    "golden_sign_pattern",
-    "golden_solution",
     "invert_field",
     "ivp_points",
     "monomial_sign_pattern",
@@ -88,34 +89,59 @@ PI2_4 = math.pi**2 / 4.0
 
 class RelationCell(NamedTuple):
     """A 4-cell kind that carries the relation: the tag of its records, its
-    initial-value vertices (groups of positions in the cell's indices), the
-    facet action on the golden solution's component at positive orientation,
-    and the action's values over all components (it is constant on each)."""
+    initial-value vertices, its golden solution as (vertex, value on the DKP
+    branch) pairs, the facet action on the golden solution's component at
+    positive orientation, and the action's values over all components (it is
+    constant on each).  A vertex is a group of positions in the cell's indices.
+    """
 
     tag: str
-    ivp: tuple[tuple[int, ...], ...]
+    ivp: tuple[Group, ...]
+    golden: tuple[tuple[Group, float], ...]
     golden_closure: float
     closure_values: tuple[float, ...]
 
 
+def _complement(group: Group) -> Group:
+    return tuple(p for p in range(5) if p not in group)
+
+
 # Black ambo: the pairs through l or m of (i, j, k, l, m).
 _AMBO_IVP = ((0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+# Golden: a = (1 - sqrt 5)/2 on the pairs adjacent along the five-cycle of
+# directions, -1 on the other five.
+_AMBO_GOLDEN = tuple(
+    (g, GOLDEN_A if g[1] - g[0] in (1, 4) else -1.0)
+    for g in itertools.combinations(range(5), 2)
+)
 _AMBO_VALUES = (-PI2_4, PI2_4)
 
 # The 4-simplices carry no relation and have no entry.
 RELATION_CELLS: dict[CellKind, RelationCell] = {
-    CellKind.BLACK_AMBO4: RelationCell("ambo-black", _AMBO_IVP, -PI2_4, _AMBO_VALUES),
-    # The white initial vertices are the complements of the black ones.
+    CellKind.BLACK_AMBO4: RelationCell(
+        "ambo-black", _AMBO_IVP, _AMBO_GOLDEN, -PI2_4, _AMBO_VALUES
+    ),
+    # A white vertex is the complement of a black one, with its values (the
+    # golden vertices sorted, as the black ones are).
     CellKind.WHITE_AMBO4: RelationCell(
-        "ambo-white", tuple(tuple(sorted({0, 1, 2, 3, 4} - set(g))) for g in _AMBO_IVP),
+        "ambo-white", tuple(map(_complement, _AMBO_IVP)),
+        tuple(sorted((_complement(g), v) for g, v in _AMBO_GOLDEN)),
         -PI2_4, _AMBO_VALUES,
     ),
     # Two single-index, five double-index and two triple-index vertices of
     # (j, k, l, m), fixed once by rank probing the eight-equation system at
-    # random solutions: its rank is 5 of 14, leaving 9 free values.
+    # random solutions: its rank is 5 of 14, leaving 9 free values.  The
+    # golden solution covers those 14 vertices.
     CellKind.CUBE4: RelationCell(
         "cube",
         ((2,), (3,), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1, 2), (0, 1, 3)),
+        (
+            ((0,), GOLDEN_A), ((1,), -1.0), ((2,), -1.0), ((3,), GOLDEN_A),
+            ((0, 1), GOLDEN_A), ((0, 2), -1.0), ((0, 3), -1.0),
+            ((1, 2), GOLDEN_A), ((1, 3), -1.0), ((2, 3), GOLDEN_A),
+            ((0, 1, 2), -1.0), ((0, 1, 3), GOLDEN_A), ((0, 2, 3), -GOLDEN_A),
+            ((1, 2, 3), 1.0),
+        ),
         0.0, (0.0, -2.0 * PI2_4, 2.0 * PI2_4),
     ),
 }
@@ -127,6 +153,12 @@ def _relation_cell(cell4: OrientedCell) -> RelationCell:
         return RELATION_CELLS[cell4.kind]
     except KeyError:
         raise CellError(f"{cell4.kind.value} carries no relation system") from None
+
+
+def _group_points(cell4: OrientedCell, groups: Iterable[Group]) -> Points:
+    """The cell's vertices at the groups of index positions."""
+    idx = cell4.indices
+    return tuple(_offset(cell4.base, [idx[p] for p in g]) for g in groups)
 
 
 @functools.lru_cache(maxsize=256)
@@ -265,9 +297,7 @@ def _completion_steps(cell4: OrientedCell, required: Points) -> tuple[Step, ...]
 def ivp_points(cell4: OrientedCell) -> IvpPoints:
     """(required, solved) vertex tuples of the completion: the initial-value
     vertices of the cell's RELATION_CELLS entry, then the solved ones in order."""
-    idx = cell4.indices
-    groups = _relation_cell(cell4).ivp
-    required = tuple(_offset(cell4.base, [idx[p] for p in g]) for g in groups)
+    required = _group_points(cell4, _relation_cell(cell4).ivp)
     steps = _completion_steps(cell4, required)
     return required, tuple(points[slot] for points, slot in steps)
 
@@ -339,47 +369,15 @@ def solve_cube_ivp(
 
 
 def golden_field(cell4: OrientedCell, branch: Branch = Branch.DKP) -> Field:
-    """The exact constant solution on a 4-ambo cell.
-
-    Values along the five-cycle of directions equal a = (1 - sqrt 5)/2 and
-    the diagonal values equal -1; the inverse branch inverts everything.
-    """
-    idx = cell4.indices
-    if cell4.kind not in (CellKind.BLACK_AMBO4, CellKind.WHITE_AMBO4):
-        raise CellError(f"no constant solution table for {cell4.kind.value}")
-    a = GOLDEN_A if branch is Branch.DKP else 1.0 / GOLDEN_A
-    adjacent = {frozenset((idx[t], idx[(t + 1) % 5])) for t in range(5)}
-    field: Field = {}
-    for group in itertools.combinations(idx, cell4.weight):
-        # A white vertex takes the value of the black one at its complement.
-        pair = group if cell4.kind is CellKind.BLACK_AMBO4 else set(idx) - set(group)
-        field[_offset(cell4.base, group)] = a if frozenset(pair) in adjacent else -1.0
-    return field
-
-
-def golden_cube_field(cell4: OrientedCell, branch: Branch = Branch.DKP) -> Field:
-    """An exact golden-ratio solution on the 14 relevant vertices of a 4D cube."""
-    if cell4.kind is not CellKind.CUBE4:
-        raise CellError(f"expected a 4D cube, got {cell4.kind.value}")
-    a = GOLDEN_A
-    j, k, l, m = cell4.indices
-    table = {
-        (j,): a, (k,): -1.0, (l,): -1.0, (m,): a,
-        (j, k): a, (j, l): -1.0, (j, m): -1.0,
-        (k, l): a, (k, m): -1.0, (l, m): a,
-        (j, k, l): -1.0, (j, k, m): a, (j, l, m): -a, (k, l, m): 1.0,
-    }
-    field = {_offset(cell4.base, g): v for g, v in table.items()}
+    """The exact golden-ratio solution of the cell's RELATION_CELLS entry; the
+    inverse branch inverts it (BranchError for Branch.NEITHER)."""
+    groups, values = zip(*_relation_cell(cell4).golden)
+    field = dict(zip(_group_points(cell4, groups), values))
     if branch is Branch.DKP_MINUS:
-        field = invert_field(field)
+        return invert_field(field)
+    if branch is not Branch.DKP:
+        raise BranchError(f"no golden solution on branch {branch}")
     return field
-
-
-def golden_solution(cell4: OrientedCell) -> Field:
-    """The golden-ratio dKP solution of a 4-ambo cell or a 4D cube."""
-    if cell4.kind is CellKind.CUBE4:
-        return golden_cube_field(cell4)
-    return golden_field(cell4)
 
 
 def invert_field(field: Mapping[Point, float]) -> Field:
@@ -410,11 +408,6 @@ def monomial_sign_pattern(
         m1, m2, m3 = signed_monomials(field, six_points(support))
         pattern.append((m1 > 0.0, m2 < 0.0, m3 > 0.0))
     return tuple(pattern)
-
-
-def golden_sign_pattern(cell4: OrientedCell) -> tuple[tuple[bool, bool, bool], ...]:
-    """Component label of the golden-ratio solution."""
-    return monomial_sign_pattern(golden_solution(cell4), cell4)
 
 
 def nonsingularity_margin(

@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 import zlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -53,7 +53,6 @@ from .cells import (
 from .dilog import skew_dilog, skew_dilog_array, special_value_table
 from .dkp import (
     _SUPPORT_KINDS,
-    PI2_4,
     RELATION_CELLS,
     Branch,
     Field,
@@ -130,15 +129,7 @@ class CheckRecord:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "params_digest": self.params_digest,
-            "observed": self.observed,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -516,11 +507,8 @@ def _check_skew_antisymmetry(cfg: SuiteConfig) -> list[CheckRecord]:
 
 def _check_golden(cfg: SuiteConfig) -> list[CheckRecord]:
     records = []
-    for kind, tag in (
-        (CellKind.BLACK_AMBO4, "black"),
-        (CellKind.WHITE_AMBO4, "white"),
-    ):
-        cell = LATTICES["qan"].cell(kind, cfg.dim)
+    for cell, tag in _solution_cells(cfg):
+        tag = tag.removeprefix("ambo-")
         solution = golden_field(cell, Branch.DKP)
         worst = max(
             abs(three_form(solution, s) + PI2_20) for s in system_on_4cell(cell)
@@ -528,25 +516,16 @@ def _check_golden(cfg: SuiteConfig) -> list[CheckRecord]:
         records.append(
             _record(cfg, f"golden-octahedron-{tag}", worst, 0.0, "golden_three_form")
         )
-        records.append(
-            _record(
-                cfg,
-                f"golden-closure-{tag}",
-                exterior_derivative(solution, cell),
-                -PI2_4,
-                "golden_closure",
+        for branch, suffix in ((Branch.DKP, ""), (Branch.DKP_MINUS, "-inverse")):
+            records.append(
+                _record(
+                    cfg,
+                    f"golden-closure-{tag}{suffix}",
+                    exterior_derivative(golden_field(cell, branch), cell),
+                    closure_constant(cell, branch),
+                    "golden_closure",
+                )
             )
-        )
-        inverse = golden_field(cell, Branch.DKP_MINUS)
-        records.append(
-            _record(
-                cfg,
-                f"golden-closure-{tag}-inverse",
-                exterior_derivative(inverse, cell),
-                PI2_4,
-                "golden_closure",
-            )
-        )
     return records
 
 

@@ -17,8 +17,7 @@ from plurikp import config
 from plurikp.cells import CellKind, OrientedCell, Point
 from plurikp.dkp import (
     Field,
-    golden_sign_pattern,
-    golden_solution,
+    golden_field,
     ivp_points,
     monomial_sign_pattern,
     nonsingularity_margin,
@@ -55,9 +54,10 @@ def _random_solution(
     required, _ = ivp_points(cell4)
     solve = solve_cube_ivp if cell4.kind is CellKind.CUBE4 else solve_ambo_ivp
     supports = system_on_4cell(cell4)
-    target = golden_sign_pattern(cell4) if component == "golden" else None
-    if target is not None:
-        reference = golden_solution(cell4)
+    target = None
+    if component == "golden":
+        reference = golden_field(cell4)
+        target = monomial_sign_pattern(reference, cell4)
         signs = [math.copysign(1.0, reference[p]) for p in required]
     for _ in range(config.MAX_REDRAWS):
         if target is None:

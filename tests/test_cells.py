@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plurikp.cells import (
@@ -36,6 +36,7 @@ from plurikp.cells import (
 from plurikp.errors import (
     CellError,
     ChainError,
+    DecompositionError,
     FormatError,
     NotFlowerError,
     NotInteriorError,
@@ -632,6 +633,59 @@ def test_decompose_glued_random_flowers(rng):
             pairs = decompose_flower(star, vertex)
             pad = 2 if lattice == "qan" else 1
             assert corner_sum(pairs) == star.padded(pad)
+
+
+@st.composite
+def glued_four_cells(draw):
+    """3 to 5 random 4-cells of one family at dim 4 or 5: bases in
+    {-1, 0, 1}^n, random directions and orientation."""
+    lattice = LATTICES[draw(st.sampled_from(sorted(LATTICES)))]
+    n = lattice.ambient(draw(st.integers(4, 5)))
+    cells = []
+    for _ in range(draw(st.integers(3, 5))):
+        kind = draw(st.sampled_from(lattice.four_cells))
+        count = len(lattice.cell(kind, 4).indices)
+        dirs = draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True))
+        base = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        cells.append(cell(kind, tuple(base), tuple(sorted(dirs)), draw(st.sampled_from((1, -1)))))
+    return lattice, cells
+
+
+def connected_at(star, vertex):
+    """Whether the 3-cells of a star are connected through their 2-faces at
+    the vertex (False for a bouquet of spheres touching only there)."""
+    faces = {
+        c: {f for f in facets(c).cells() if has_vertex(f, vertex)} for c in star.cells()
+    }
+    first, *rest = faces
+    reached, frontier = {first}, [first]
+    while frontier:
+        c = frontier.pop()
+        for d in rest:
+            if d not in reached and faces[c] & faces[d]:
+                reached.add(d)
+                frontier.append(d)
+    return len(reached) == len(faces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(glued_four_cells())
+def test_decompose_flowers_of_glued_cells(drawn):
+    lattice, cells = drawn
+    chain = Chain()
+    for c in cells:
+        chain = chain + facets(c)
+    assume(all(abs(coeff) == 1 for _, coeff in chain.items()))
+    for vertex in sorted(set().union(*map(vertices, chain.cells()))):
+        star = flower(chain, vertex)
+        if connected_at(star, vertex):
+            pairs = decompose_flower(star, vertex)
+        else:
+            try:
+                pairs = decompose_flower(star, vertex)
+            except DecompositionError:
+                continue
+        assert corner_sum(pairs) == star.padded(lattice.aux)
 
 
 def test_decompose_rejects_non_flower():

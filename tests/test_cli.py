@@ -10,7 +10,6 @@ from plurikp.cells import CellKind, OrientedCell
 from plurikp.cli import main
 from plurikp.dkp import (
     Branch,
-    golden_cube_field,
     golden_field,
     ivp_points,
     read_field_file,
@@ -145,7 +144,7 @@ def test_solve_inverse_branch(tmp_path, capsys):
 def test_solve_cube(tmp_path, capsys):
     cell = OrientedCell(CellKind.CUBE4, (0,) * 4, (0, 1, 2, 3))
     required, _ = ivp_points(cell)
-    golden = golden_cube_field(cell)
+    golden = golden_field(cell)
     source = tmp_path / "nine.json"
     write_field_file(str(source), {p: golden[p] for p in required}, "cubic", 4)
     code = main(["solve", "cube4", str(source), str(tmp_path / "full.json")])
@@ -221,7 +220,7 @@ def test_solve_missing_file_is_io_exit(tmp_path):
 def test_solve_wrong_lattice_is_config_exit(tmp_path):
     cell = OrientedCell(CellKind.CUBE4, (0,) * 4, (0, 1, 2, 3))
     required, _ = ivp_points(cell)
-    golden = golden_cube_field(cell)
+    golden = golden_field(cell)
     source = tmp_path / "nine.json"
     write_field_file(str(source), {p: golden[p] for p in required}, "cubic", 4)
     assert main(["solve", "ambo-black", str(source), "x.json"]) == 2

@@ -2,14 +2,17 @@
 
 import itertools
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plurikp.cells import CellKind, OrientedCell, vertices
+from plurikp import config
+from plurikp.cells import LATTICES, CellKind, OrientedCell, vertices
 from plurikp.dilog import GOLDEN_A
 from plurikp.dkp import (
     RELATION_CELLS,
@@ -18,9 +21,7 @@ from plurikp.dkp import (
     dkp_minus_residual_relative,
     dkp_residual,
     dkp_residual_relative,
-    golden_cube_field,
     golden_field,
-    golden_sign_pattern,
     invert_field,
     ivp_points,
     monomial_sign_pattern,
@@ -33,6 +34,7 @@ from plurikp.dkp import (
     write_field_file,
 )
 from plurikp.errors import (
+    BranchError,
     CellError,
     FormatError,
     InitialDataError,
@@ -314,7 +316,7 @@ def test_ambo_completion_rejects_zero_value(black_ambo):
 
 def test_cube_completion_golden(cube4):
     required, _ = ivp_points(cube4)
-    golden = golden_cube_field(cube4)
+    golden = golden_field(cube4)
     completed = solve_cube_ivp(cube4, {p: golden[p] for p in required})
     for p, v in golden.items():
         assert completed[p] == pytest.approx(v, abs=1e-15)
@@ -324,7 +326,7 @@ def test_cube_completion_has_nine_inputs_and_fourteen_values(cube4):
     required, solved = ivp_points(cube4)
     assert len(required) == 9
     assert len(solved) == 5
-    golden = golden_cube_field(cube4)
+    golden = golden_field(cube4)
     completed = solve_cube_ivp(cube4, {p: golden[p] for p in required})
     assert len(completed) == 14
     # The two inert corner vertices never appear.
@@ -483,10 +485,10 @@ def test_golden_field_value_multiset(black_ambo):
 
 
 def test_golden_cube_field_solves_all_eight(cube4):
-    golden = golden_cube_field(cube4)
+    golden = golden_field(cube4)
     for support in system_on_4cell(cube4):
         assert dkp_residual(golden, support) == pytest.approx(0.0, abs=1e-15)
-    inverse = golden_cube_field(cube4, Branch.DKP_MINUS)
+    inverse = golden_field(cube4, Branch.DKP_MINUS)
     for support in system_on_4cell(cube4):
         assert dkp_minus_residual_relative(inverse, support) <= 1e-15
 
@@ -516,18 +518,55 @@ def test_cyclic_pullback_preserves_solutions(black_ambo, rng):
         assert dkp_residual_relative(pulled, support) <= 1e-12
 
 
-def test_golden_sign_pattern_is_all_positive(black_ambo, white_ambo, cube4):
-    assert golden_sign_pattern(black_ambo) == tuple(
-        (True, True, True) for _ in range(5)
-    )
-    assert golden_sign_pattern(white_ambo) == golden_sign_pattern(black_ambo)
-    golden = golden_field(black_ambo, Branch.DKP)
-    assert monomial_sign_pattern(golden, black_ambo) == golden_sign_pattern(black_ambo)
-    cube_golden = golden_cube_field(cube4)
-    assert monomial_sign_pattern(cube_golden, cube4) == golden_sign_pattern(cube4)
+def test_golden_sign_pattern_is_all_positive(black_ambo, white_ambo):
+    pattern = monomial_sign_pattern(golden_field(black_ambo), black_ambo)
+    assert pattern == tuple((True, True, True) for _ in range(5))
+    assert monomial_sign_pattern(golden_field(white_ambo), white_ambo) == pattern
+
+
+@pytest.mark.parametrize("kind", sorted(RELATION_CELLS, key=lambda k: k.value))
+def test_golden_field_refuses_branch_neither(kind):
+    cell = LATTICES[kind.family].cell(kind, 4)
+    with pytest.raises(BranchError):
+        golden_field(cell, Branch.NEITHER)
+
+
+@pytest.mark.parametrize("kind", [CellKind.BLACK_SIMPLEX4, CellKind.WHITE_SIMPLEX4])
+def test_golden_field_refuses_cells_without_relation(kind):
+    with pytest.raises(CellError):
+        golden_field(LATTICES["qan"].cell(kind, 4))
 
 
 # --- field files ---------------------------------------------------------------------
+
+
+_EXTREME_VALUES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@st.composite
+def field_files(draw):
+    """(lattice, dim, field) with up to eight points of the right size."""
+    lattice = draw(st.sampled_from(sorted(LATTICES)))
+    dim = draw(st.integers(3, config.MAX_DIM))
+    size = LATTICES[lattice].ambient(dim)
+    point = st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size).map(tuple)
+    value = st.one_of(
+        st.sampled_from(_EXTREME_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    return lattice, dim, draw(st.dictionaries(point, value, min_size=1, max_size=8))
+
+
+@settings(max_examples=60, deadline=None)
+@example(("qan", 4, {(0, 0, 0, 0, t): v for t, v in enumerate(_EXTREME_VALUES)}))
+@given(field_files())
+def test_field_file_round_trip_is_exact(drawn):
+    lattice, dim, field = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.json")
+        write_field_file(path, field, lattice, dim)
+        loaded, loaded_lattice, loaded_dim = read_field_file(path)
+    assert (loaded_lattice, loaded_dim) == (lattice, dim)
+    assert {p: v.hex() for p, v in loaded.items()} == {p: v.hex() for p, v in field.items()}
 
 
 def test_field_file_round_trip(tmp_path, black_ambo, rng):

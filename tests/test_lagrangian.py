@@ -20,7 +20,6 @@ from plurikp.cells import (
 from plurikp.dilog import GOLDEN_A
 from plurikp.dkp import (
     Branch,
-    golden_cube_field,
     golden_field,
     invert_field,
     six_points,
@@ -163,7 +162,7 @@ def test_exterior_derivative_golden_white(white_ambo):
 
 
 def test_exterior_derivative_golden_cube(cube4):
-    golden = golden_cube_field(cube4)
+    golden = golden_field(cube4)
     assert exterior_derivative(golden, cube4) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -235,7 +234,7 @@ def test_corner_product_random_solution_all_corners(black_ambo, rng):
 def test_corner_product_cube_double_carries_two_factors(
     black_ambo, white_ambo, cube4, rng
 ):
-    golden = golden_cube_field(cube4)
+    golden = golden_field(cube4)
     double_vertex = tuple(
         b + (1 if d in (0, 1) else 0) for d, b in enumerate(cube4.base)
     )
@@ -355,7 +354,7 @@ def test_corner_product_rejects_non_vertices(kind, base, point):
 
 
 def test_corner_product_inert_cube_vertices_raise(cube4):
-    golden = golden_cube_field(cube4)
+    golden = golden_field(cube4)
     golden[cube4.base] = 1.0
     far = tuple(b + 1 for b in cube4.base)
     golden[far] = 1.0

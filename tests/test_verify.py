@@ -12,7 +12,6 @@ import pytest
 from plurikp.cells import corner, facets, flower, qan_point_flower, vertices
 from plurikp.dkp import (
     Branch,
-    golden_cube_field,
     golden_field,
 )
 from plurikp.errors import (
@@ -52,7 +51,7 @@ def test_classify_golden_inverse(black_ambo):
 
 
 def test_classify_cube(cube4):
-    report = classify_branch(golden_cube_field(cube4), cube4)
+    report = classify_branch(golden_field(cube4), cube4)
     assert report.branch is Branch.DKP
     assert len(report.corner_factors) == 14
 
