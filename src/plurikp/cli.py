@@ -14,6 +14,7 @@ error, 3 singular data, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -54,7 +55,14 @@ _SOLVE_KINDS = {
 _STANDARD_FLOWERS = {"qa3": "qan", "z3": "cubic"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, built once per process on the
+    first `main` call.
+
+    Sharing it is safe: parsing leaves the parser unchanged, and the defaults
+    it reads from `config` are constants.
+    """
     parser = argparse.ArgumentParser(
         prog="plurikp",
         description="Variational verification of the dKP lattice equation.",

@@ -25,6 +25,7 @@ self-check that follows can only fail on numerically singular input.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -456,12 +457,21 @@ def write_field_file(
 
 
 def write_json(path: str, payload: dict) -> None:
-    """Write JSON through a temporary file, so the target is never partial."""
+    """Write JSON through a temporary file, so the target is never partial.
+
+    The temporary file is removed when the write or the replace fails.
+    """
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    handle = open(tmp, "w", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -7,7 +7,7 @@ import pytest
 
 from plurikp import config
 from plurikp.cells import CellKind, OrientedCell
-from plurikp.cli import main
+from plurikp.cli import _build_parser, main
 from plurikp.dkp import (
     Branch,
     golden_field,
@@ -89,6 +89,62 @@ def test_main_leaves_no_state_behind(tmp_path, capsys):
     assert main(["verify", "--tol", "classify=0.9"]) == 2
     capsys.readouterr()
     assert run("second.json") == first
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_tolerance_override_does_not_leak_into_the_next_call(tmp_path, capsys):
+    # The cached parser's `append` default must start empty on every call.
+    def run(name, *extra):
+        report = tmp_path / name
+        argv = ["verify", "--trials", "2", "--seed", "7", "--out", str(report)]
+        assert main([*argv, *extra]) == 0
+        capsys.readouterr()
+        return report.read_bytes()
+
+    _build_parser.cache_clear()
+    fresh = run("fresh.json")
+    run("override.json", "--tol", "gradient=1e-3")
+    assert run("after.json") == fresh
+    assert json.loads(fresh)["config"]["tolerances"] == {}
+
+
+@pytest.mark.parametrize(
+    "between, code",
+    [(["verify", "--dim", "x"], 2), (["--help"], 0), (["solve", "--help"], 0)],
+)
+def test_parser_exit_between_solves_leaves_no_state(tmp_path, capsys, between, code):
+    # argparse ends these through SystemExit, part way through a parse.
+    source = tmp_path / "seven.json"
+    write_golden_seven(source)
+
+    def run(name):
+        target = tmp_path / name
+        assert main(["solve", "ambo-black", str(source), str(target)]) == 0
+        out = capsys.readouterr().out.replace(str(target), "TARGET")
+        return out, target.read_bytes()
+
+    first = run("first.json")
+    assert main(between) == code
+    capsys.readouterr()
+    assert run("second.json") == first
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_failed_write_leaves_no_temporary_file(tmp_path, command):
+    # The target is a directory, so the final replace fails.
+    source = tmp_path / "seven.json"
+    write_golden_seven(source)
+    target = tmp_path / "outdir"
+    target.mkdir()
+    argv = {
+        "solve": ["solve", "ambo-black", str(source), str(target)],
+        "verify": ["verify", "--trials", "2", "--out", str(target)],
+    }[command]
+    assert main(argv) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "seven.json"]
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from plurikp.dkp import (
     solve_cube_ivp,
     system_on_4cell,
     write_field_file,
+    write_json,
 )
 from plurikp.errors import (
     BranchError,
@@ -598,6 +599,26 @@ def test_write_field_file_refuses_what_read_field_file_rejects(
     with pytest.raises(FormatError):
         write_field_file(str(tmp_path / "field.json"), field, lattice, dim)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_json_keeps_the_old_target_when_a_write_fails(tmp_path, monkeypatch):
+    # An unencodable payload fails before any file is opened; a failed replace
+    # removes the temporary file.  Either way the old target stays whole.
+    target = tmp_path / "out.json"
+    write_json(str(target), {"b": [1.5, -0.0], "a": {"z": 1, "y": None}})
+    old = target.read_bytes()
+    assert old == b'{\n "a": {\n  "y": null,\n  "z": 1\n },\n "b": [\n  1.5,\n  -0.0\n ]\n}\n'
+    with pytest.raises(TypeError):
+        write_json(str(target), {"a": object()})
+
+    def refuse(src, dst):
+        raise PermissionError(dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        write_json(str(target), {"a": 2})
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == old
 
 
 @pytest.mark.parametrize(
