@@ -43,7 +43,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import config
 from .errors import (
@@ -56,7 +56,6 @@ from .errors import (
 )
 
 Point = tuple[int, ...]
-T = TypeVar("T")
 
 __all__ = [
     "CellKind",
@@ -377,11 +376,11 @@ class Chain:
     only, ChainError otherwise); chains derived from chains (sums, multiples,
     boundaries, restrictions, paddings) are built straight from canonical
     terms and trust them.  Chains never change after construction, so the
-    sorted terms, the non-empty restrictions to vertices and anything
-    `memo` is asked to keep are computed once per chain.
+    sorted terms and the non-empty restrictions to vertices are computed
+    once per chain.
     """
 
-    __slots__ = ("_terms", "_sorted", "_stars", "_memo")
+    __slots__ = ("_terms", "_sorted", "_stars")
 
     def __init__(self, terms: Iterable[tuple[OrientedCell, int]] = ()) -> None:
         acc: dict[OrientedCell, int] = {}
@@ -396,7 +395,6 @@ class Chain:
         self._terms = acc
         self._sorted: list[tuple[OrientedCell, int]] | None = None
         self._stars: dict[Point, Chain] = {}
-        self._memo: dict[Hashable, object] = {}
 
     @classmethod
     def _wrap(cls, terms: dict[OrientedCell, int]) -> "Chain":
@@ -406,7 +404,6 @@ class Chain:
         chain._terms = terms
         chain._sorted = None
         chain._stars = {}
-        chain._memo = {}
         return chain
 
     @classmethod
@@ -425,18 +422,6 @@ class Chain:
 
     def cells(self) -> list[OrientedCell]:
         return [cell for cell, _ in self.items()]
-
-    def memo(self, key: Hashable, build: Callable[[], T]) -> T:
-        """build() computed once per key and kept on this chain.
-
-        Every later caller gets the same object, so build() should return
-        something immutable.
-        """
-        try:
-            return self._memo[key]  # type: ignore[return-value]
-        except KeyError:
-            value = self._memo[key] = build()
-            return value
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -480,7 +465,7 @@ class Chain:
             star = Chain._wrap(
                 {cell: c for cell, c in self._terms.items() if has_vertex(cell, point)}
             )
-            # Only vertices of the chain are kept, which bounds the memo.
+            # Only vertices of the chain are kept, which bounds _stars.
             if star:
                 self._stars[point] = star
         return star
@@ -666,7 +651,8 @@ def decompose_flower(
     star = flower(flower_chain, vertex)
     if len(star) != len(flower_chain):
         raise NotFlowerError("chain contains cells away from the vertex")
-    family = _check_three_manifold_terms(star)
+    # flower() has checked the star's terms: one family, and not empty.
+    family = next(iter(star._terms)).family
     aux = LATTICES[family].aux
     padded_vertex = vertex + (0,) * aux
     padded = star.padded(aux)

@@ -210,7 +210,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         if args.dim is not None:
             raise ConfigError("--dim applies to --standard, not to a flower file")
         with open(args.flower, "r", encoding="utf-8") as handle:
-            chain = parse_chain(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{args.flower}: not UTF-8 text: {exc}") from exc
+        chain = parse_chain(text)
         if not chain:
             raise FormatError(f"{args.flower}: empty chain")
         ambient = len(chain.cells()[0].base)

@@ -493,7 +493,10 @@ def read_field_file(path: str) -> tuple[Field, str, int]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # The decoder raises RecursionError on nesting deeper than it can parse.
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc

@@ -13,11 +13,12 @@ solutions) over _streams.Streams, the generators of _rng as uint64 rows: the
 trial loops (corner and closure trials, gradients, negative control), the
 el-sum fields and their extensions, and the rank probes' solutions.  Trials
 run in chunks of up to config.TRIAL_CHUNK, so memory does not grow with the
-trial count.  The trial loops evaluate on the _batch kernels; the golden,
-el-sum and rank-probe checks and `plurikp solve` evaluate with the scalar
-functions (classify_branch, three_form, exterior_derivative, corner_residual,
-the finite differences), which are also the reference the kernels are tested
-against.
+trial count.  The trial loops and the rank probes' Jacobians (one central
+difference of a batched residual function in every column at once) evaluate
+on the _batch kernels; the golden and el-sum checks and `plurikp solve`
+evaluate with the scalar functions (classify_branch, three_form,
+exterior_derivative, corner_residual, the finite difference of the action),
+which are also the reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -59,9 +60,7 @@ from .dkp import (
     _inverse_terms,
     _relation_cell,
     _relative,
-    dkp_residual,
     golden_field,
-    ivp_points,
     monomial_sign_pattern,
     nonsingularity_margin,
     solve_ambo_ivp,
@@ -301,29 +300,19 @@ def closure_constant(cell4: OrientedCell, branch: Branch) -> float:
 # --- finite differences -------------------------------------------------------
 
 
-def _central_difference(
-    fn: Callable[[Mapping[Point, float]], float],
-    field: Mapping[Point, float],
-    point: Point,
-    step: float,
-) -> float:
-    """Central difference of fn in the value at one point."""
-    up = dict(field)
-    down = dict(field)
-    up[point] = field[point] + step
-    down[point] = field[point] - step
-    return (fn(up) - fn(down)) / (2 * step)
-
-
 def _fd_action(
     field: Mapping[Point, float],
     chain: Chain,
     vertex: Point,
     step: float = config.FD_STEP,
 ) -> float:
+    """Central difference of the chain's action in the value at a vertex."""
     vertex = tuple(vertex)
     local = chain.restricted_to_vertex(vertex)
-    return _central_difference(lambda f: action(f, local), field, vertex, step)
+    up, down = dict(field), dict(field)
+    up[vertex] = field[vertex] + step
+    down[vertex] = field[vertex] - step
+    return (action(up, local) - action(down, local)) / (2 * step)
 
 
 @dataclass(frozen=True)
@@ -342,30 +331,25 @@ class _CornerFrame:
 
 def _corner_frame(manifold: Chain, vertex: Point) -> _CornerFrame:
     """Flower, corners, padding and sampling columns at a vertex, built once
-    per chain and kept on it: the suite checks each flower under several
-    fields."""
-
-    def build() -> _CornerFrame:
-        star = flower(manifold, vertex)
-        star_points: set[Point] = set()
-        for cell in star.cells():
-            star_points.update(vertices(cell))
-        points = tuple(star_points)
-        pairs = tuple(decompose_flower(star, vertex))
-        pad = (0,) * LATTICES[star.cells()[0].family].aux
-        padded = tuple(p + pad for p in points)
-        needed: set[Point] = set()
-        for cell4, _ in pairs:
-            needed.update(vertices(cell4))
-        columns = padded + tuple(sorted(needed - set(padded)))
-        star_supports = [c for c in star.cells() if c.kind in _SUPPORT_KINDS]
-        supports = [s for cell4, _ in pairs for s in _relation_supports(cell4)]
-        return _CornerFrame(
-            points, _batch.six_columns(points, star_supports), pairs, vertex + pad,
-            star.padded(len(pad)), columns, _batch.six_columns(columns, supports),
-        )
-
-    return manifold.memo(("corner-frame", vertex), build)
+    per case: the suite checks each flower under several fields."""
+    star = flower(manifold, vertex)
+    star_points: set[Point] = set()
+    for cell in star.cells():
+        star_points.update(vertices(cell))
+    points = tuple(star_points)
+    pairs = tuple(decompose_flower(star, vertex))
+    pad = (0,) * LATTICES[star.cells()[0].family].aux
+    padded = tuple(p + pad for p in points)
+    needed: set[Point] = set()
+    for cell4, _ in pairs:
+        needed.update(vertices(cell4))
+    columns = padded + tuple(sorted(needed - set(padded)))
+    star_supports = [c for c in star.cells() if c.kind in _SUPPORT_KINDS]
+    supports = [s for cell4, _ in pairs for s in _relation_supports(cell4)]
+    return _CornerFrame(
+        points, _batch.six_columns(points, star_supports), pairs, vertex + pad,
+        star.padded(len(pad)), columns, _batch.six_columns(columns, supports),
+    )
 
 
 def _el_sum_gaps(
@@ -434,41 +418,33 @@ def _numeric_rank(matrix: np.ndarray) -> int:
 
 
 def _jacobian(
-    functions: list[Callable[[Mapping[Point, float]], float]],
-    field: Field,
-    points: list[Point],
-    step: float = 1e-7,
+    residuals: Callable[[np.ndarray], np.ndarray], row: np.ndarray, step: float = 1e-7
 ) -> np.ndarray:
-    return np.array(
-        [[_central_difference(fn, field, p, step) for p in points] for fn in functions]
-    )
+    """Central-difference Jacobian (residuals x columns) of a batched residual
+    function at one row, with every column moved at once."""
+    moved = step * np.eye(len(row))
+    return ((residuals(row + moved) - residuals(row - moved)) / (2 * step)).T
 
 
 def cube_freedom_probe(cfg: SuiteConfig) -> tuple[int, int]:
     """(free vertex count, rank of the solved columns) for the 4D-cube system."""
     cell = LATTICES["cubic"].cell(CellKind.CUBE4, cfg.dim)
     solution = _random_solution(cfg, "cube-ivp-freedom", cell)
-    points = sorted(solution)
-    functions = [
-        (lambda f, s=s: dkp_residual(f, s)) for s in system_on_4cell(cell)
-    ]
-    jac = _jacobian(functions, solution, points)
-    rank = _numeric_rank(jac)
-    _, solved = ivp_points(cell)
-    solved_cols = [points.index(p) for p in solved]
-    solved_rank = _numeric_rank(jac[:, solved_cols])
-    return len(points) - rank, solved_rank
+    tab = _batch.tables(cell)
+    # The two inert corners enter no residual, so any nonzero value serves.
+    row = np.array([solution.get(p, 1.0) for p in tab.points])
+    jac = _jacobian(lambda x: _batch._monomials(x[:, tab.supports]).sum(axis=-1), row)
+    solved = tab.completed[len(tab.required) :]
+    return len(solution) - _numeric_rank(jac), _numeric_rank(jac[:, solved])
 
 
 def ambo_corner_rank_probe(cfg: SuiteConfig) -> int:
     """Numeric Jacobian rank of the ten corner equations at a random solution."""
     cell = LATTICES["qan"].cell(CellKind.BLACK_AMBO4, cfg.dim)
     solution = _random_solution(cfg, "info-ambo-corner-rank", cell, margin=0.01)
-    points = sorted(solution)
-    functions = [
-        (lambda f, v=v: corner_residual(f, cell, v)) for v in corner_vertices(cell)
-    ]
-    return _numeric_rank(_jacobian(functions, solution, points))
+    tab = _batch.tables(cell)
+    row = np.array([solution[p] for p in tab.points])
+    return _numeric_rank(_jacobian(lambda x: _batch.corner_residuals(tab, x), row))
 
 
 # --- individual suite checks ---------------------------------------------------

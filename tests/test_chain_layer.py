@@ -180,16 +180,14 @@ def assert_same_chain(result, ref, *sources):
     for source in sources:
         assert result._terms is not source._terms
         assert result._stars is not source._stars
-        assert result._memo is not source._memo
 
 
 @given(chains, chains, st.integers(-3, 3), st.integers(0, 2), st.data())
 @settings(max_examples=120, deadline=None)
 def test_derived_chains_match_normalizing_constructor(a, b, k, extra, data):
-    # Fill a's memos first, so a result that shared them would show it.
+    # Fill a's restrictions first, so a result that shared them would show it.
     for cell in a.cells():
         a.restricted_to_vertex(next(iter(vertices(cell))))
-    a.memo("key", lambda: "value")
 
     assert_same_chain(a + b, reference(list(a.items()) + list(b.items())), a, b)
     assert_same_chain(
@@ -228,21 +226,6 @@ def test_derived_chains_match_normalizing_constructor(a, b, k, extra, data):
     ):
         assert_same_chain(empty, Chain(), source)
         assert not empty and len(empty) == 0
-
-
-def test_memo_builds_once_per_key_and_is_per_chain():
-    star = qan_point_flower((0,) * 5, range(4))
-    calls = []
-
-    def build():
-        calls.append(1)
-        return ("frame", len(calls))
-
-    first = star.memo("frame", build)
-    assert star.memo("frame", build) is first and calls == [1]
-    copy = star + Chain()
-    assert copy == star
-    assert copy.memo("frame", build) == ("frame", 2)
 
 
 # --- coefficients ---------------------------------------------------------------

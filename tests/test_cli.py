@@ -321,6 +321,28 @@ def test_decompose_malformed_file(tmp_path):
     assert main(["decompose", str(chain_file), "--vertex", "(0,0,0,0)"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("solve", b'{"format": "plurikp-field/1", "values": {"\xff": 1.0}}'),
+        ("solve", b"[" * 200_000 + b"]" * 200_000),
+        ("decompose", b"1 +oct[0 1 2 3]@(0,0,0,0,0)\n\xff\n"),
+    ],
+    ids=["field-not-utf8", "field-nested-too-deep", "chain-not-utf8"],
+)
+def test_unreadable_input_file_is_usage_exit(tmp_path, capsys, command, data):
+    source = tmp_path / "input"
+    source.write_bytes(data)
+    out = tmp_path / "out"
+    if command == "solve":
+        argv = ["solve", "ambo-black", str(source), str(out)]
+    else:
+        argv = ["decompose", str(source), "--vertex", "(0,0,0,0,0)", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input"]
+
+
 def test_decompose_needs_vertex_with_file(tmp_path):
     chain_file = tmp_path / "flower.chain"
     chain_file.write_text("")

@@ -12,13 +12,17 @@ import pytest
 from plurikp.cells import corner, facets, flower, qan_point_flower, vertices
 from plurikp.dkp import (
     Branch,
+    dkp_residual,
     golden_field,
+    ivp_points,
+    system_on_4cell,
 )
 from plurikp.errors import (
     ConfigError,
     InconclusiveBranchError,
     MissingVertexError,
 )
+from plurikp.lagrangian import corner_residual
 from plurikp.verify import (
     SuiteConfig,
     ambo_corner_rank_probe,
@@ -344,10 +348,72 @@ def test_record_invariant():
 
 
 def test_rank_probes():
-    assert ambo_corner_rank_probe(SuiteConfig(lattice="qan")) == 3
-    free, solved_rank = cube_freedom_probe(SuiteConfig(lattice="cubic"))
-    assert free == 9
-    assert solved_rank == 5
+    for seed in (config.DEFAULT_SEED, *range(50)):
+        assert ambo_corner_rank_probe(SuiteConfig(lattice="qan", seed=seed)) == 3, seed
+        free, solved_rank = cube_freedom_probe(SuiteConfig(lattice="cubic", seed=seed))
+        assert (free, solved_rank) == (9, 5), seed
+
+
+def _scalar_jacobian(residuals, field, points, step=1e-7):
+    """Central differences one residual and one point at a time, over copied
+    dicts: the reference for the probes' batched Jacobians."""
+
+    def difference(fn, point):
+        up, down = dict(field), dict(field)
+        up[point] = field[point] + step
+        down[point] = field[point] - step
+        return (fn(up) - fn(down)) / (2 * step)
+
+    return np.array([[difference(fn, p) for p in points] for fn in residuals])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rank_probe_jacobians_match_scalar_differences(
+    seed, black_ambo, cube4, monkeypatch
+):
+    import plurikp.verify as verify_module
+
+    matrices = []
+    numeric_rank = verify_module._numeric_rank
+    monkeypatch.setattr(
+        verify_module, "_numeric_rank", lambda m: matrices.append(m) or numeric_rank(m)
+    )
+
+    def close(batched, reference):
+        scale = np.abs(reference).max()
+        assert np.abs(batched - reference).max() <= 1e-6 * scale
+
+    cfg = SuiteConfig(lattice="qan", seed=seed)
+    ambo_corner_rank_probe(cfg)
+    field = verify_module._random_solution(cfg, "info-ambo-corner-rank", black_ambo, 0.01)
+    points = _batch.tables(black_ambo).points
+    residuals = [
+        (lambda f, v=v: corner_residual(f, black_ambo, v))
+        for v in corner_vertices(black_ambo)
+    ]
+    (batched,) = matrices
+    close(batched, _scalar_jacobian(residuals, field, points))
+
+    matrices.clear()
+    cfg = SuiteConfig(lattice="cubic", seed=seed)
+    cube_freedom_probe(cfg)
+    field = verify_module._random_solution(cfg, "cube-ivp-freedom", cube4, 1e-5)
+    points = _batch.tables(cube4).points
+    supports = system_on_4cell(cube4)
+    residuals = [(lambda f, s=s: dkp_residual(f, s)) for s in supports]
+    columns = {p: c for c, p in enumerate(points) if p in field}
+    batched, batched_solved = matrices
+    # The batched rows are the unsigned monomial sums, and the two inert
+    # corners (not in the solution) enter no residual.
+    signs = np.array([[s.sign] for s in supports])
+    inert = [c for c in range(len(points)) if c not in columns.values()]
+    assert len(inert) == 2 and not batched[:, inert].any()
+    close(
+        signs * batched[:, list(columns.values())],
+        _scalar_jacobian(residuals, field, columns),
+    )
+    _, solved = ivp_points(cube4)
+    close(signs * batched_solved, _scalar_jacobian(residuals, field, solved))
 
 
 @pytest.mark.parametrize("seed", [7, 2024, 2**32 + 5])
@@ -475,8 +541,6 @@ def test_el_sum_decomposes_each_case_once(lattice, cases, monkeypatch):
         return el_sum_gaps(frame, seed, star, trials)
 
     el_sum_gaps = verify_module._el_sum_gaps
-    # Cached facet chains carry their corner frames; start from fresh ones.
-    facets.cache_clear()
     monkeypatch.setattr(
         verify_module, "decompose_flower",
         counting("decompose", verify_module.decompose_flower),
@@ -516,7 +580,7 @@ def test_el_sum_alone_matches_the_suite_bit_for_bit(lattice, monkeypatch):
     monkeypatch.undo()
     by_manifold: dict[int, list[float]] = {}
     for manifold, vertex, field, trial, inside in seen:
-        # A copy of the manifold has no corner frame yet: the work is redone.
+        # The check alone builds its own frame, here on a copy of the manifold.
         alone = check_euler_lagrange_sum(
             Chain(manifold.items()), vertex, field, cfg, extension_seed=trial
         )
