@@ -15,9 +15,10 @@ ambient of N+1 coordinates and come in two colour families:
     wsimp4    five quadruple offsets
 
 Cubic-lattice cells (sq, cube3, cube4) take all subsets of their directions
-as offsets.  A cell stores (kind, base, indices, sign); indices are kept
-strictly increasing and any transposition is folded into the sign, so equal
-cells compare equal bit for bit and chains cancel exactly.
+as offsets.  A cell is a tuple (kind, base, indices, sign), equal to and
+hashing like the plain tuple of its fields; indices are kept strictly
+increasing and any transposition is folded into the sign, so equal cells
+compare equal bit for bit and chains cancel exactly.
 
 Construction follows one rule: public construction validates, derived
 construction trusts.  `OrientedCell(...)` and `Chain(terms)` check and
@@ -32,7 +33,10 @@ list starting with "+" on the last index, delete one index, keep the sign.
 For a weight-w root-lattice cell the deleted-index facet of weight w stays
 at the base while the weight w-1 facet is shifted by the deleted direction;
 a cube has an unshifted facet and an opposite shifted facet with flipped
-sign per deleted direction.
+sign per deleted direction.  A corner, the facets of a 4-cell at one of its
+vertices, comes from `_facets_at`, which builds only those facets: per
+deleted direction, the shifted one if the vertex is offset along it and the
+one at the base otherwise.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -122,14 +125,23 @@ _INFO: dict[CellKind, tuple[str, int, int, int | None]] = {
     CellKind.CUBE4: ("cubic", 4, 4, None),
 }
 
-# (vertex weight, index count) -> root-lattice kind, for facet lookups.
-_QAN_BY_WEIGHT_COUNT = {
-    (info[3], info[2]): kind
-    for kind, info in _INFO.items()
-    if kind.family == "qan"
+# (family, index count, vertex weight) -> kind, for facet lookups.
+_BY_SHAPE = {(family, n, w): kind for kind, (family, _, n, w) in _INFO.items()}
+
+# kind -> (kind of the facets at the base, kind of the facets shifted along
+# the deleted direction, sign of a shifted facet against one at the base),
+# None where a kind has no such facet; see the module docstring.
+_FACET_KINDS = {
+    kind: (
+        _BY_SHAPE.get((family, n - 1, w)),
+        _BY_SHAPE.get((family, n - 1, w and w - 1)),
+        1 if w else -1,
+    )
+    for kind, (family, _, n, w) in _INFO.items()
 }
 
-_CUBIC_BY_COUNT = {2: CellKind.SQUARE, 3: CellKind.CUBE3, 4: CellKind.CUBE4}
+# kind -> the kind with one more index and the same vertex weight.
+_LIFTS = {kind: _BY_SHAPE.get((family, n + 1, w)) for kind, (family, _, n, w) in _INFO.items()}
 
 _KIND_BY_TOKEN = {kind.value: kind for kind in CellKind}
 
@@ -183,40 +195,45 @@ class Lattice(NamedTuple):
 
 
 def _sort_with_parity(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:
-    seq = list(indices)
-    parity = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            parity = -parity
-            j -= 1
-    return tuple(seq), parity
+    seq = tuple(indices)
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    return tuple(sorted(seq)), -1 if inversions % 2 else 1
 
 
-@dataclass(frozen=True, slots=True)
-class OrientedCell:
+class OrientedCell(tuple):
     """A lattice cell in canonical form: sorted indices, sign in {+1, -1}.
 
-    Cells key every chain and cache, so the hash of (kind, base, indices,
-    sign) is computed once, on construction.
+    A cell is the tuple (kind, base, indices, sign) and nothing more: it
+    compares equal to, and hashes like, the plain tuple of its fields, so
+    equality, hashing and dict lookups run in C.  The fields are read-only
+    and a cell takes no other attributes.  Its corners come from
+    `_facets_at`.
     """
 
-    kind: CellKind
-    base: Point
-    indices: tuple[int, ...]
-    sign: int = 1
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _INFO:
-            raise CellError(f"unknown cell kind {self.kind!r}")
-        family, _, n_idx, _ = _INFO[self.kind]
-        base = tuple(int(c) for c in self.base)
-        sorted_idx, parity = _sort_with_parity(int(i) for i in self.indices)
+    # A CellKind, a Point, a tuple of ints and +1 or -1.
+    kind = property(operator.itemgetter(0))
+    base = property(operator.itemgetter(1))
+    indices = property(operator.itemgetter(2))
+    sign = property(operator.itemgetter(3))
+
+    def __new__(cls, kind: CellKind, base: Point, indices: Iterable[int], sign: int = 1):
+        # Through the class attribute, so that a wrapper set on the class
+        # sees every validated construction.
+        return _new_tuple(cls, OrientedCell.__post_init__(kind, base, indices, sign))
+
+    @staticmethod
+    def __post_init__(kind: CellKind, base: Point, indices: Iterable[int], sign: int):
+        """Check the fields; return them canonical, the index parity in the sign."""
+        if kind not in _INFO:
+            raise CellError(f"unknown cell kind {kind!r}")
+        family, _, n_idx, _ = _INFO[kind]
+        base = tuple(int(c) for c in base)
+        sorted_idx, parity = _sort_with_parity(int(i) for i in indices)
         if len(sorted_idx) != n_idx:
             raise CellError(
-                f"{self.kind.value} needs {n_idx} indices, got {len(sorted_idx)}"
+                f"{kind.value} needs {n_idx} indices, got {len(sorted_idx)}"
             )
         if len(set(sorted_idx)) != n_idx:
             raise CellError(f"repeated index in {sorted_idx}")
@@ -229,35 +246,29 @@ class OrientedCell:
             )
         if sorted_idx[0] < 0 or sorted_idx[-1] >= ambient:
             raise CellError(f"indices {sorted_idx} out of range for ambient {ambient}")
-        if self.sign not in (1, -1):
-            raise CellError(f"sign must be +1 or -1, got {self.sign!r}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "indices", sorted_idx)
-        object.__setattr__(self, "sign", self.sign * parity)
-        object.__setattr__(
-            self, "_hash", hash((self.kind, self.base, self.indices, self.sign))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        if sign not in (1, -1):
+            raise CellError(f"sign must be +1 or -1, got {sign!r}")
+        return kind, base, sorted_idx, sign * parity
 
     def __reduce__(self):
-        # Rebuild through the constructor: enum hashes are salted per
-        # process, so a pickled hash would be stale in another one.
-        return (OrientedCell, (self.kind, self.base, self.indices, self.sign))
+        # Tuple pickling would call the constructor with one tuple.
+        return (OrientedCell, tuple(self))
+
+    def __repr__(self) -> str:
+        return "OrientedCell(kind={!r}, base={!r}, indices={!r}, sign={!r})".format(*self)
 
     @property
     def family(self) -> str:
-        return _INFO[self.kind][0]
+        return _INFO[self[0]][0]
 
     @property
     def dim(self) -> int:
-        return _INFO[self.kind][1]
+        return _INFO[self[0]][1]
 
     @property
     def weight(self) -> int | None:
         """Vertex weight of a root-lattice cell, None for cubic cells."""
-        return _INFO[self.kind][3]
+        return _INFO[self[0]][3]
 
     def positive(self) -> "OrientedCell":
         return self if self.sign == 1 else _derived_cell(self.kind, self.base, self.indices, 1)
@@ -281,7 +292,7 @@ class OrientedCell:
         return format_cell(self)
 
 
-_set_field = object.__setattr__  # bypasses the frozen dataclass's __setattr__
+_new_tuple = tuple.__new__
 
 
 def _derived_cell(
@@ -293,13 +304,7 @@ def _derived_cell(
     ints inside the ambient range, strictly increasing in-range indices of
     the kind's count, and a sign of +1 or -1.  Nothing is re-sorted.
     """
-    cell = object.__new__(OrientedCell)
-    _set_field(cell, "kind", kind)
-    _set_field(cell, "base", base)
-    _set_field(cell, "indices", indices)
-    _set_field(cell, "sign", sign)
-    _set_field(cell, "_hash", hash((kind, base, indices, sign)))
-    return cell
+    return _new_tuple(OrientedCell, (kind, base, indices, sign))
 
 
 def _offset(base: Point, directions: Iterable[int]) -> Point:
@@ -310,16 +315,13 @@ def _offset(base: Point, directions: Iterable[int]) -> Point:
 
 
 def vertices(cell: OrientedCell) -> frozenset[Point]:
-    """Vertex set of the cell, translated by its base point."""
-    if cell.family == "qan":
-        w = cell.weight
-        return frozenset(
-            _offset(cell.base, combo)
-            for combo in itertools.combinations(cell.indices, w)
-        )
+    """Vertex set of the cell, translated by its base point: the base moved
+    along each weight-sized subset of the indices, or each subset on a cube."""
+    w = cell.weight
+    sizes = range(len(cell.indices) + 1) if w is None else (w,)
     return frozenset(
         _offset(cell.base, combo)
-        for r in range(len(cell.indices) + 1)
+        for r in sizes
         for combo in itertools.combinations(cell.indices, r)
     )
 
@@ -352,6 +354,13 @@ def _coefficient(value: object) -> int:
         raise ChainError(f"coefficient {value!r} is not an integer") from None
 
 
+def _cell(value: object) -> OrientedCell:
+    """A chain term's cell: an OrientedCell, not a tuple that equals one."""
+    if not isinstance(value, OrientedCell):
+        raise ChainError(f"term {value!r} is not an OrientedCell")
+    return value
+
+
 def _add_into(
     acc: dict[OrientedCell, int],
     terms: Iterable[tuple[OrientedCell, int]],
@@ -372,27 +381,20 @@ class Chain:
 
     Keys are positively oriented canonical cells; a negatively oriented cell
     contributes through the sign of its coefficient.  `Chain(terms)`
-    validates and normalizes its terms (int or numpy integer coefficients
-    only, ChainError otherwise); chains derived from chains (sums, multiples,
-    boundaries, restrictions, paddings) are built straight from canonical
-    terms and trust them.  Chains never change after construction, so the
-    sorted terms and the non-empty restrictions to vertices are computed
-    once per chain.
+    validates and normalizes its terms (OrientedCell cells and int or numpy
+    integer coefficients only, ChainError otherwise); chains derived from
+    chains (sums, multiples, boundaries, restrictions, paddings) are built
+    straight from canonical terms and trust them.  Chains never change after
+    construction, so the sorted terms and the non-empty restrictions to
+    vertices are computed once per chain.
     """
 
     __slots__ = ("_terms", "_sorted", "_stars")
 
     def __init__(self, terms: Iterable[tuple[OrientedCell, int]] = ()) -> None:
-        acc: dict[OrientedCell, int] = {}
-        _add_into(
-            acc,
-            (
-                (cell.positive(), coeff * cell.sign)
-                for cell, raw in terms
-                if (coeff := _coefficient(raw))
-            ),
-        )
-        self._terms = acc
+        checked = ((_cell(cell), _coefficient(raw)) for cell, raw in terms)
+        self._terms: dict[OrientedCell, int] = {}
+        _add_into(self._terms, ((c.positive(), k * c.sign) for c, k in checked if k))
         self._sorted: list[tuple[OrientedCell, int]] | None = None
         self._stars: dict[Point, Chain] = {}
 
@@ -485,33 +487,33 @@ def facets(cell: OrientedCell) -> Chain:
     """Signed facet chain of a 3-cell or 4-cell."""
     if cell.dim == 2:
         raise CellError(f"facets of a 2-cell ({cell.kind.value}) are not supported")
-    idx = cell.indices
-    base = cell.base
+    return _facets_at(cell, None)
+
+
+def _facets_at(cell: OrientedCell, vertex: Point | None) -> Chain:
+    """The signed facets of a cell that hold one of its vertices, or all of
+    its facets when the vertex is None.
+
+    The facet that deletes direction d holds the vertex exactly when the
+    facet is shifted along d and the vertex is offset along d, so each
+    direction gives at most one.
+    """
+    kind, base, idx, sign = cell
+    at_base, shifted_kind, shifted_sign = _FACET_KINDS[kind]
     signs = _deletion_signs(len(idx))
     # Facets are distinct positive cells with coefficient +-1, so they go
     # straight into the chain's dict.
     terms: dict[OrientedCell, int] = {}
-    if cell.family == "qan":
-        w = cell.weight
-        n = len(idx) - 1
-        same_weight = _QAN_BY_WEIGHT_COUNT.get((w, n))
-        lower_weight = _QAN_BY_WEIGHT_COUNT.get((w - 1, n))
-        for pos, deleted in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            s = signs[pos] * cell.sign
-            if same_weight is not None:
-                terms[_derived_cell(same_weight, base, rest, 1)] = s
-            if lower_weight is not None:
-                shifted = _offset(base, (deleted,))
-                terms[_derived_cell(lower_weight, shifted, rest, 1)] = s
-    else:
-        facet_kind = _CUBIC_BY_COUNT[len(idx) - 1]
-        for pos, deleted in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            s = signs[pos] * cell.sign
-            terms[_derived_cell(facet_kind, base, rest, 1)] = s
+    for pos, deleted in enumerate(idx):
+        rest = idx[:pos] + idx[pos + 1 :]
+        s = signs[pos] * sign
+        # With a vertex, only the facet on its side along the deleted direction.
+        offset = None if vertex is None else vertex[deleted] != base[deleted]
+        if at_base is not None and not offset:
+            terms[_derived_cell(at_base, base, rest, 1)] = s
+        if shifted_kind is not None and offset is not False:
             shifted = _offset(base, (deleted,))
-            terms[_derived_cell(facet_kind, shifted, rest, 1)] = -s
+            terms[_derived_cell(shifted_kind, shifted, rest, 1)] = s * shifted_sign
     return Chain._wrap(terms)
 
 
@@ -530,7 +532,7 @@ def corner(cell4: OrientedCell, center: Point) -> Chain:
     center = tuple(center)
     if not has_vertex(cell4, center):
         raise CellError(f"{center} is not a vertex of {cell4}")
-    return facets(cell4).restricted_to_vertex(center)
+    return _facets_at(cell4, center)
 
 
 def _check_three_manifold_terms(chain: Chain) -> str:
@@ -561,15 +563,35 @@ def flower(manifold: Chain, vertex: Point) -> Chain:
     if not star:
         raise NotFlowerError(f"no 3-cell of the chain contains {vertex}")
     _check_three_manifold_terms(star)
-    unmatched = [
-        (cell, c) for cell, c in boundary(star)._terms.items() if has_vertex(cell, vertex)
-    ]
+    unmatched: dict[OrientedCell, int] = {}
+    for cell, coeff in star._terms.items():
+        _add_into(unmatched, _facets_at(cell, vertex)._terms.items(), coeff)
     if unmatched:
-        cell, coeff = min(unmatched, key=lambda kv: format_cell(kv[0]))
+        cell, coeff = min(unmatched.items(), key=lambda kv: format_cell(kv[0]))
         raise NotInteriorError(
             f"unmatched facet {cell} at {vertex} (coefficient {coeff})"
         )
     return star
+
+
+def _point_flower(
+    center: Point,
+    directions: Iterable[int],
+    count: int,
+    petals: Iterable[tuple[int, CellKind, int]],
+) -> Chain:
+    """The star of a vertex in the sub-lattice on count directions: for each
+    (r, kind, coefficient) petal, one cell per r-subset of the directions,
+    based at the center moved back along that subset."""
+    dirs = tuple(sorted(set(int(d) for d in directions)))
+    if len(dirs) != count:
+        raise ChainError(f"need exactly {count} directions, got {dirs}")
+    center = tuple(center)
+    return Chain(
+        (OrientedCell(kind, tuple(c - (d in combo) for d, c in enumerate(center)), dirs), coeff)
+        for r, kind, coeff in petals
+        for combo in itertools.combinations(dirs, r)
+    )
 
 
 def qan_point_flower(center: Point, directions: Iterable[int]) -> Chain:
@@ -579,35 +601,17 @@ def qan_point_flower(center: Point, directions: Iterable[int]) -> Chain:
     white tetrahedra; the unique (up to global orientation) flower of the
     full 3-dimensional sub-lattice star.
     """
-    dirs = tuple(sorted(set(int(d) for d in directions)))
-    if len(dirs) != 4:
-        raise ChainError(f"need exactly 4 directions, got {dirs}")
-    center = tuple(center)
-    terms = []
-    for combo in itertools.combinations(dirs, 1):
-        base = tuple(c - (1 if d in combo else 0) for d, c in enumerate(center))
-        terms.append((OrientedCell(CellKind.BLACK_TETRAHEDRON, base, dirs), 1))
-    for combo in itertools.combinations(dirs, 2):
-        base = tuple(c - (1 if d in combo else 0) for d, c in enumerate(center))
-        terms.append((OrientedCell(CellKind.OCTAHEDRON, base, dirs), -1))
-    for combo in itertools.combinations(dirs, 3):
-        base = tuple(c - (1 if d in combo else 0) for d, c in enumerate(center))
-        terms.append((OrientedCell(CellKind.WHITE_TETRAHEDRON, base, dirs), 1))
-    return Chain(terms)
+    petals = (
+        (1, CellKind.BLACK_TETRAHEDRON, 1),
+        (2, CellKind.OCTAHEDRON, -1),
+        (3, CellKind.WHITE_TETRAHEDRON, 1),
+    )
+    return _point_flower(center, directions, 4, petals)
 
 
 def cubic_point_flower(center: Point, directions: Iterable[int]) -> Chain:
     """The eight 3D cubes around a vertex of a cubic sub-lattice."""
-    dirs = tuple(sorted(set(int(d) for d in directions)))
-    if len(dirs) != 3:
-        raise ChainError(f"need exactly 3 directions, got {dirs}")
-    center = tuple(center)
-    terms = []
-    for r in range(4):
-        for combo in itertools.combinations(dirs, r):
-            base = tuple(c - (1 if d in combo else 0) for d, c in enumerate(center))
-            terms.append((OrientedCell(CellKind.CUBE3, base, dirs), 1))
-    return Chain(terms)
+    return _point_flower(center, directions, 3, [(r, CellKind.CUBE3, 1) for r in range(4)])
 
 
 LATTICES = {
@@ -657,16 +661,11 @@ def decompose_flower(
     padded_vertex = vertex + (0,) * aux
     padded = star.padded(aux)
     aux_m = len(vertex)
-    # Every cell is lifted along M.  M is above every index, so the lifted
-    # indices stay sorted; coefficients are +-1 on a manifold chain.
-    lift_kind = {
-        CellKind.BLACK_TETRAHEDRON: CellKind.BLACK_SIMPLEX4,
-        CellKind.OCTAHEDRON: CellKind.BLACK_AMBO4,
-        CellKind.WHITE_TETRAHEDRON: CellKind.WHITE_AMBO4,
-        CellKind.CUBE3: CellKind.CUBE4,
-    }
+    # Every cell is lifted along M to the kind with one more index and the
+    # same vertex weight.  M is above every index, so the lifted indices stay
+    # sorted; coefficients are +-1 on a manifold chain.
     pairs = [
-        (_derived_cell(lift_kind[cell.kind], cell.base, cell.indices + (aux_m,), coeff),
+        (_derived_cell(_LIFTS[cell.kind], cell.base, cell.indices + (aux_m,), coeff),
          padded_vertex)
         for cell, coeff in padded.items()
     ]

@@ -14,6 +14,7 @@ error, 3 singular data, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from typing import Sequence
@@ -162,13 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         payload = {
             "format": _REPORT_FORMAT,
-            "config": {
-                "lattice": cfg.lattice,
-                "dim": cfg.dim,
-                "trials": cfg.trials,
-                "seed": cfg.seed,
-                "tolerances": overrides,
-            },
+            "config": dataclasses.asdict(cfg),
             "records": [r.as_dict() for r in result.records],
             "summary": summary,
         }

@@ -83,7 +83,12 @@ class Branch(Enum):
     NEITHER = "neither"
 
 
-_SUPPORT_KINDS = (CellKind.OCTAHEDRON, CellKind.CUBE3)
+# The index-position groups of the six relation vertices of each support kind.
+_SIX_GROUPS = {
+    CellKind.OCTAHEDRON: tuple(itertools.combinations(range(4), 2)),
+    CellKind.CUBE3: ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)),
+}
+_SUPPORT_KINDS = tuple(_SIX_GROUPS)
 
 PI2_4 = math.pi**2 / 4.0
 
@@ -169,16 +174,9 @@ def six_points(cell: OrientedCell) -> tuple[Point, ...]:
     For a 3D cube the dropped direction plays the role of i, so the first
     three slots hold the single-index vertices.
     """
-    base = cell.base
-    if cell.kind is CellKind.OCTAHEDRON:
-        i, j, k, l = cell.indices
-        pairs = ((i, j), (i, k), (i, l), (j, k), (j, l), (k, l))
-        return tuple(_offset(base, p) for p in pairs)
-    if cell.kind is CellKind.CUBE3:
-        j, k, l = cell.indices
-        groups = ((j,), (k,), (l,), (j, k), (j, l), (k, l))
-        return tuple(_offset(base, g) for g in groups)
-    raise CellError(f"{cell.kind.value} does not support the relation")
+    if cell.kind not in _SIX_GROUPS:
+        raise CellError(f"{cell.kind.value} does not support the relation")
+    return _group_points(cell, _SIX_GROUPS[cell.kind])
 
 
 def field_values(

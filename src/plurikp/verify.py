@@ -698,6 +698,8 @@ def _check_flower_decomposition(cfg: SuiteConfig) -> list[CheckRecord]:
             cell = lattice.cell(kind, cfg.dim)
             for vertex in sorted(vertices(cell)):
                 star = flower(facets(cell), vertex)
+                # Two independent computations: flower filters the whole
+                # facet chain, corner builds only the facets at the vertex.
                 if star != corner(cell, vertex):
                     failures += 1
                 flowers.append((star, vertex))

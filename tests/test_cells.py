@@ -1,5 +1,6 @@
 """Cell, chain, facet, corner, flower, and projection combinatorics."""
 
+import copy
 import itertools
 import os
 import pickle
@@ -118,6 +119,82 @@ def test_cell_pickled_in_another_process_keeps_a_valid_hash():
     assert loaded == original
     assert hash(loaded) == hash(original)
     assert loaded in {original}
+
+
+def test_cell_is_the_plain_tuple_of_its_fields():
+    c = cell(CellKind.WHITE_AMBO4, (1, -2, 0, 3, 0, 1), (5, 0, 2, 3, 4))
+    fields = (c.kind, c.base, c.indices, c.sign)
+    assert isinstance(c, tuple)
+    assert tuple(c) == fields and c == fields
+    assert hash(c) == hash(fields)
+    assert {fields: 1}[c] == 1
+
+
+def test_cell_repr_text():
+    c = cell(CellKind.CUBE4, Z4, (0, 1, 2, 3), -1)
+    assert repr(c) == (
+        "OrientedCell(kind=<CellKind.CUBE4: 'cube4'>, base=(0, 0, 0, 0),"
+        " indices=(0, 1, 2, 3), sign=-1)"
+    )
+    facet = next(iter(facets(c).cells()))
+    assert repr(facet) == (
+        "OrientedCell(kind=<CellKind.CUBE3: 'cube3'>, base=(0, 0, 0, 0),"
+        " indices=(0, 1, 2), sign=1)"
+    )
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_cell_copies_are_equal_cells_with_equal_hashes(round_trip):
+    for original in (
+        cell(CellKind.OCTAHEDRON, (1, -2, 0, 3, 0), (1, 0, 2, 4)),
+        -cell(CellKind.CUBE3, Z4, (0, 1, 3)),
+    ):
+        copied = round_trip(original)
+        assert type(copied) is OrientedCell
+        assert copied == original and hash(copied) == hash(original)
+        assert repr(copied) == repr(original)
+
+
+def test_cell_fields_are_read_only_and_take_no_new_attributes():
+    c = cell(CellKind.OCTAHEDRON, Z5, (0, 1, 2, 3))
+    for name, value in (("kind", CellKind.CUBE3), ("base", Z5), ("indices", (0,)), ("sign", -1)):
+        with pytest.raises(AttributeError):
+            setattr(c, name, value)
+    with pytest.raises(AttributeError):
+        c.label = "x"
+    assert c == cell(CellKind.OCTAHEDRON, Z5, (0, 1, 2, 3))
+
+
+def test_post_init_sees_every_public_construction_and_no_derived_one(monkeypatch):
+    seen = []
+    validate = OrientedCell.__post_init__
+
+    def counted(*fields):
+        seen.append(fields)
+        return validate(*fields)
+
+    monkeypatch.setattr(OrientedCell, "__post_init__", counted)
+    facets.cache_clear()
+    c = OrientedCell(CellKind.BLACK_AMBO4, Z5, (1, 0, 2, 3, 4))
+    public = [
+        c.shifted(2),
+        parse_cell("+cube4[0 1 2 3]@(0,0,0,0)"),
+        pickle.loads(pickle.dumps(c)),
+        copy.deepcopy(c),
+    ]
+    assert len(seen) == 1 + len(public)
+    assert seen[0] == (CellKind.BLACK_AMBO4, Z5, (1, 0, 2, 3, 4), 1)
+    center = offset(Z5, (0, 1))
+    derived = [-c, c.positive(), (-c).positive(), c.padded(2), *facets(c).cells()]
+    derived += corner(c, center).cells() + boundary(facets(c)).cells()
+    derived += [cell4 for cell4, _ in decompose_flower(flower(facets(c), center), center)]
+    assert len(derived) > 20
+    assert len(seen) == 1 + len(public)
+    facets.cache_clear()
 
 
 def test_invalid_cells_rejected():
@@ -390,6 +467,16 @@ def test_chain_cancellation(a):
 def test_opposite_orientations_cancel():
     c = cell(CellKind.OCTAHEDRON, Z5, (0, 1, 2, 3))
     assert not Chain([(c, 1), (-c, 1)])
+
+
+@pytest.mark.parametrize("coeff", [1, 0])
+@pytest.mark.parametrize(
+    "term", ["x", (CellKind.OCTAHEDRON, Z5, (0, 1, 2, 3), 1)], ids=["text", "plain-tuple"]
+)
+def test_chain_rejects_terms_that_are_not_cells(term, coeff):
+    c = cell(CellKind.OCTAHEDRON, Z5, (0, 1, 2, 3))
+    with pytest.raises(ChainError, match="is not an OrientedCell"):
+        Chain([(c, 1), (term, coeff)])
 
 
 def test_chain_rejects_nothing_but_tracks_coefficients():

@@ -19,6 +19,7 @@ from plurikp.cells import (
     FOUR_CELL_KINDS,
     OrientedCell,
     boundary,
+    corner,
     cubic_point_flower,
     decompose_flower,
     facets,
@@ -122,13 +123,13 @@ def test_padding_past_headroom_raises_at_max_dimension():
         Chain.of(cube).padded(2)
 
 
+FOUR_CELLS = [cell for cell in ALL_CELLS if cell.dim == 4]
+
+
 def _flowers():
-    for kind in FOUR_CELL_KINDS:
-        for base, indices in _placements(kind):
-            for sign in (1, -1):
-                cell4 = OrientedCell(kind, base, indices, sign)
-                for vertex in sorted(vertices(cell4)):
-                    yield flower(facets(cell4), vertex), vertex
+    for cell4 in FOUR_CELLS:
+        for vertex in sorted(vertices(cell4)):
+            yield flower(facets(cell4), vertex), vertex
     for base in ((0,) * 5, _SHIFTED_BASE):
         yield qan_point_flower(base, (0, 2, 3, 4)), base
         yield cubic_point_flower(base[:4], (0, 1, 3)), base[:4]
@@ -142,6 +143,69 @@ def test_decomposition_lifts_match_public_constructor():
             seen.add((cell4.kind, cell4.sign))
     # Both orientations of every lifted kind were produced.
     assert seen == {(kind, sign) for kind in FOUR_CELL_KINDS for sign in (1, -1)}
+
+
+# --- corners at the vertex -------------------------------------------------------
+
+
+@pytest.mark.parametrize("cell4", FOUR_CELLS, ids=format_cell)
+def test_corner_is_the_facet_chain_restricted_to_the_vertex(cell4):
+    facets.cache_clear()
+    for vertex in sorted(vertices(cell4)):
+        oracle = reference(facets(cell4).restricted_to_vertex(vertex).items())
+        result = corner(cell4, vertex)
+        assert result
+        assert_same_chain(result, oracle)
+        for facet in result.cells():
+            assert_canonical(facet)
+
+
+@pytest.mark.parametrize("cell4", FOUR_CELLS, ids=format_cell)
+def test_corner_off_the_vertices_raises(cell4):
+    for vertex in vertices(cell4):
+        far = list(vertex)
+        far[cell4.indices[0]] += 2
+        with pytest.raises(CellError):
+            corner(cell4, far)
+    with pytest.raises(CellError):
+        corner(cell4, cell4.base + (0,))
+    if cell4.family == "qan":
+        with pytest.raises(CellError):
+            corner(cell4, cell4.base)
+
+
+def _without_one(chain, index):
+    removed = chain.cells()[index]
+    return chain - Chain.of(removed) * chain.coefficient(removed)
+
+
+@pytest.mark.parametrize(
+    "chain,vertex,message",
+    [
+        (
+            _without_one(qan_point_flower((0,) * 5, (0, 1, 2, 3)), 4),
+            (0,) * 5,
+            "unmatched facet +btri[0 2 3]@(-1,0,0,0,0) at (0, 0, 0, 0, 0) (coefficient 1)",
+        ),
+        (
+            _without_one(cubic_point_flower(_SHIFTED_BASE[:6], (0, 3, 5)), 3),
+            _SHIFTED_BASE[:6],
+            "unmatched facet +sq[0 3]@(1,-1,0,3,-2,1) at (2, -1, 0, 3, -2, 1)"
+            " (coefficient -1)",
+        ),
+        (
+            Chain.of(OrientedCell(CellKind.OCTAHEDRON, _SHIFTED_BASE, _SPREAD[4], -1)),
+            (3, -1, 0, 4, -2, 1, -3),
+            "unmatched facet +btri[0 2 5]@(2,-1,0,4,-2,1,-3) at (3, -1, 0, 4, -2, 1, -3)"
+            " (coefficient 1)",
+        ),
+    ],
+    ids=["qan-star-less-an-octahedron", "cubic-star-less-a-cube", "one-octahedron"],
+)
+def test_flower_names_the_same_unmatched_facet_at_a_boundary_vertex(chain, vertex, message):
+    with pytest.raises(NotInteriorError) as info:
+        flower(chain, vertex)
+    assert str(info.value) == message
 
 
 # --- derived chains ---------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import plurikp
 from plurikp import config
 from plurikp.cells import CellKind, OrientedCell
 from plurikp.cli import _build_parser, main
@@ -44,6 +48,18 @@ def test_verify_small_run_writes_report(tmp_path, capsys):
 
 def test_verify_cubic_exit_zero(tmp_path):
     assert main(["verify", "--lattice", "cubic", "--trials", "2", "--seed", "1"]) == 0
+
+
+def test_python_dash_m_runs_the_cli_as_a_process(tmp_path):
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(plurikp.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "plurikp", "verify", "--lattice", "cubic",
+         "--trials", "5", "--seed", "7"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "summary:" in done.stdout
 
 
 def test_verify_bad_dim_is_config_error(capsys):
